@@ -54,54 +54,28 @@ class Tensor:
 
 
 class _Entry:
-    __slots__ = ("op", "inputs", "out", "bwd", "fwd")
+    __slots__ = ("op", "inputs", "out", "bwd")
 
-    def __init__(self, op, inputs, out, bwd, fwd):
+    def __init__(self, op, inputs, out, bwd):
         self.op = op
         self.inputs = inputs
         self.out = out
         self.bwd = bwd
-        self.fwd = fwd
 
 
 class Tape:
-    """Ordered, replayable record of primitive applications."""
+    """Ordered record of primitive applications."""
 
     def __init__(self):
         self.entries = []
 
-    def output(self):
-        if not self.entries:
-            raise ContractViolation("empty tape has no output")
-        return self.entries[-1].out
-
-    def replay(self):
-        """Re-execute every entry in record order from the current input
-        data, refreshing the stored forward outputs; returns the final
-        output tensor. Identical inputs reproduce identical bits."""
-        for entry in self.entries:
-            entry.out.data = entry.fwd()
-        return self.output()
-
-    def backward(self, output=None, seed=None):
-        """Walk the record in reverse and return {param Tensor: gradient array}.
-
-        ``output`` defaults to the final recorded output; ``seed`` defaults to
-        ones of the output shape and must match it exactly.
-        """
-        out = self.output() if output is None else output
-        if seed is None:
-            seed_arr = np.ones_like(out.data)
-        else:
-            seed_arr = np.asarray(seed, dtype=np.float64)
-            if seed_arr.shape != out.data.shape:
-                raise ContractViolation(
-                    f"seed shape {seed_arr.shape} does not match output shape {out.data.shape}"
-                )
-        grads = {out.uid: seed_arr}
+    def backward(self, output):
+        """Walk the record in reverse from ``output``, seeded with ones of its
+        shape, and return {param Tensor: gradient array}."""
+        grads = {output.uid: np.ones_like(output.data)}
         params = {}
-        if out.param:
-            params[out.uid] = out
+        if output.param:
+            params[output.uid] = output
         for entry in reversed(self.entries):
             g = grads.pop(entry.out.uid, None)
             if g is None:
@@ -121,11 +95,11 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(tape, op, inputs, out_data, bwd, fwd):
+def _record(tape, op, inputs, out_data, bwd):
     out = Tensor(out_data)
     if tape is not None and any(t.tracked for t in inputs):
         out.tracked = True
-        tape.entries.append(_Entry(op, inputs, out, bwd, fwd))
+        tape.entries.append(_Entry(op, inputs, out, bwd))
     return out
 
 
@@ -148,7 +122,7 @@ def matmul(tape, a, b):
     def bwd(g):
         return g @ bd.T, ad.T @ g
 
-    return _record(tape, "matmul", (a, b), ad @ bd, bwd, lambda: a.data @ b.data)
+    return _record(tape, "matmul", (a, b), ad @ bd, bwd)
 
 
 def add(tape, a, b):
@@ -157,7 +131,7 @@ def add(tape, a, b):
     def bwd(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _record(tape, "add", (a, b), a.data + b.data, bwd, lambda: a.data + b.data)
+    return _record(tape, "add", (a, b), a.data + b.data, bwd)
 
 
 def sub(tape, a, b):
@@ -166,7 +140,7 @@ def sub(tape, a, b):
     def bwd(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _record(tape, "sub", (a, b), a.data - b.data, bwd, lambda: a.data - b.data)
+    return _record(tape, "sub", (a, b), a.data - b.data, bwd)
 
 
 def mul(tape, a, b):
@@ -176,7 +150,7 @@ def mul(tape, a, b):
     def bwd(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _record(tape, "mul", (a, b), ad * bd, bwd, lambda: a.data * b.data)
+    return _record(tape, "mul", (a, b), ad * bd, bwd)
 
 
 def scale(tape, a, c):
@@ -186,7 +160,7 @@ def scale(tape, a, c):
     def bwd(g):
         return (g * c,)
 
-    return _record(tape, "scale", (a,), a.data * c, bwd, lambda: a.data * c)
+    return _record(tape, "scale", (a,), a.data * c, bwd)
 
 
 def relu(tape, a):
@@ -196,8 +170,7 @@ def relu(tape, a):
     def bwd(g):
         return (g * mask,)
 
-    return _record(tape, "relu", (a,), np.maximum(a.data, 0.0), bwd,
-                   lambda: np.maximum(a.data, 0.0))
+    return _record(tape, "relu", (a,), np.maximum(a.data, 0.0), bwd)
 
 
 def _sigmoid_of(x):
@@ -213,7 +186,7 @@ def sigmoid(tape, a):
     def bwd(g):
         return (g * y * (1.0 - y),)
 
-    return _record(tape, "sigmoid", (a,), y, bwd, lambda: _sigmoid_of(a.data))
+    return _record(tape, "sigmoid", (a,), y, bwd)
 
 
 def square(tape, a):
@@ -223,7 +196,7 @@ def square(tape, a):
     def bwd(g):
         return (2.0 * ad * g,)
 
-    return _record(tape, "square", (a,), ad * ad, bwd, lambda: a.data * a.data)
+    return _record(tape, "square", (a,), ad * ad, bwd)
 
 
 def absolute(tape, a):
@@ -233,7 +206,7 @@ def absolute(tape, a):
     def bwd(g):
         return (g * s,)
 
-    return _record(tape, "abs", (a,), np.abs(a.data), bwd, lambda: np.abs(a.data))
+    return _record(tape, "abs", (a,), np.abs(a.data), bwd)
 
 
 def concat(tape, tensors, axis=0):
@@ -247,8 +220,7 @@ def concat(tape, tensors, axis=0):
         return tuple(np.split(g, bounds, axis=axis))
 
     return _record(tape, "concat", tensors,
-                   np.concatenate([t.data for t in tensors], axis=axis), bwd,
-                   lambda: np.concatenate([t.data for t in tensors], axis=axis))
+                   np.concatenate([t.data for t in tensors], axis=axis), bwd)
 
 
 def mean(tape, a, axis=None, keepdims=False):
@@ -262,8 +234,7 @@ def mean(tape, a, axis=None, keepdims=False):
         ge = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ge / count, shape).copy(),)
 
-    return _record(tape, "mean", (a,), a.data.mean(axis=axis, keepdims=keepdims), bwd,
-                   lambda: a.data.mean(axis=axis, keepdims=keepdims))
+    return _record(tape, "mean", (a,), a.data.mean(axis=axis, keepdims=keepdims), bwd)
 
 
 def total(tape, a, axis=None, keepdims=False):
@@ -277,8 +248,7 @@ def total(tape, a, axis=None, keepdims=False):
         ge = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, shape).copy(),)
 
-    return _record(tape, "sum", (a,), a.data.sum(axis=axis, keepdims=keepdims), bwd,
-                   lambda: a.data.sum(axis=axis, keepdims=keepdims))
+    return _record(tape, "sum", (a,), a.data.sum(axis=axis, keepdims=keepdims), bwd)
 
 
 def row_prod(tape, a):
@@ -300,8 +270,7 @@ def row_prod(tape, a):
     def bwd(g):
         return (g * cof,)
 
-    return _record(tape, "row_prod", (a,), x.prod(axis=1, keepdims=True), bwd,
-                   lambda: a.data.prod(axis=1, keepdims=True))
+    return _record(tape, "row_prod", (a,), x.prod(axis=1, keepdims=True), bwd)
 
 
 def mse(tape, a, b):

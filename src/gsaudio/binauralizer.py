@@ -20,10 +20,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_weights, save_weights
-from .dsp import ImpulseResponse, Spectrogram, Waveform, istft, stft
+from .dsp import Spectrogram, Waveform, istft, stft
 from .errors import ConfigError, ContractViolation
 from .field import SceneContext
-from .scene import Pose
 
 log = logging.getLogger("gsaudio.binauralizer")
 
@@ -185,8 +184,6 @@ class MaskNetwork:
         if self.mode != "binaural":
             raise ConfigError("mask query requires binaural mode")
         ctx = context.tensor if isinstance(context, SceneContext) else context
-        if not isinstance(ctx, Tensor):
-            ctx = Tensor(np.asarray(ctx, dtype=np.float64).reshape(1, -1))
         if ctx.data.shape[1] != self.context_dim:
             raise ContractViolation(
                 f"context width {ctx.data.shape[1]}, expected {self.context_dim}"
@@ -209,8 +206,6 @@ class MaskNetwork:
         if self.mode != "rir":
             raise ConfigError("impulse-response head requires rir mode")
         ctx = context.tensor if isinstance(context, SceneContext) else context
-        if not isinstance(ctx, Tensor):
-            ctx = Tensor(np.asarray(ctx, dtype=np.float64).reshape(1, -1))
         enc_xy = positional_encoding(xy01, self.levels)[None, :]
         x1 = ad.concat(tape, [Tensor(enc_xy), ctx], axis=1)
         feats = self.features(tape, x1)  # (1, width)
@@ -248,30 +243,10 @@ class MaskNetwork:
         return net
 
 
-def query_masks(net: MaskNetwork, listener: Pose, context, n_bins, scene_bounds=None) -> AcousticMasks:
-    """Forward-only mask query over all frequency bins 0..n_bins-1."""
-    xy01 = normalize_position(listener.position, scene_bounds)
-    mixture, difference = net.mask_tensors(None, xy01, listener.heading(), context, n_bins)
-    return AcousticMasks(mixture=mixture.data[:, 0], difference=difference.data[:, 0])
-
-
-def predict_rir(net: MaskNetwork, listener: Pose, context, n_samples, sample_rate,
-                scene_bounds=None) -> ImpulseResponse:
-    """Forward-only impulse-response prediction over t/T in [0, 1)."""
-    if n_samples < 1:
-        raise ContractViolation("need at least one sample")
-    xy01 = normalize_position(listener.position, scene_bounds)
-    times01 = np.arange(n_samples) / n_samples
-    amp = net.rir_tensor(None, xy01, listener.heading(), context, times01)
-    return ImpulseResponse(samples=amp.data[:, 0], sample_rate=sample_rate)
-
-
 def normalize_position(position, scene_bounds):
     """Map the listener's (x, y) into [0, 1]^2 using the scene bounds;
-    idempotent for identical bounds, pass-through when bounds are None."""
+    idempotent for identical bounds."""
     position = np.asarray(position, dtype=np.float64).reshape(3)
-    if scene_bounds is None:
-        return position[:2].copy()
     lo = np.asarray(scene_bounds[0], dtype=np.float64)[:2]
     hi = np.asarray(scene_bounds[1], dtype=np.float64)[:2]
     span = np.where(hi - lo <= 0, 1.0, hi - lo)

@@ -370,7 +370,7 @@ def cmd_bench(cfg):
         t0 = time.perf_counter()
         ctx = model.context(None, pose)
         t1 = time.perf_counter()
-        masks = model.masks(pose)
+        masks = model.masks(pose, context=ctx)
         t2 = time.perf_counter()
         binauralize(mono, masks, model.window, model.hop)
         t3 = time.perf_counter()
@@ -378,7 +378,6 @@ def cmd_bench(cfg):
         breakdown["context_s"] += t1 - t0
         breakdown["masks_s"] += t2 - t1
         breakdown["reconstruct_s"] += t3 - t2
-        del ctx
     lat = np.asarray(latencies)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_weights, save_weights
-from .errors import ContractViolation, GeometryError
+from .errors import ContractViolation
 from .scene import Pose, vicinity
 
 log = logging.getLogger("gsaudio.field")
@@ -21,17 +21,6 @@ log = logging.getLogger("gsaudio.field")
 GUIDANCE_DIM = 3
 CONTEXT_WIDTH = 64
 COINCIDENT_EPS = 1e-9
-
-
-def position_guidance(point, anchor):
-    """Unit vector from ``anchor`` to ``point``."""
-    point = np.asarray(point, dtype=np.float64).reshape(3)
-    anchor = np.asarray(anchor, dtype=np.float64).reshape(3)
-    diff = point - anchor
-    norm = float(np.linalg.norm(diff))
-    if norm < COINCIDENT_EPS:
-        raise GeometryError("point coincides with anchor")
-    return diff / norm
 
 
 def guidance_rows(positions, anchor):
@@ -118,32 +107,19 @@ class SceneContext:
         return self.tensor.data[0].copy()
 
 
-def point_context(net: FieldNetwork, alpha, guidance, tape=None):
-    """Context for a single point; thin wrapper over the batched forward."""
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(1, -1)
-    guidance = np.asarray(guidance, dtype=np.float64).reshape(1, -1)
-    if guidance.shape[1] != GUIDANCE_DIM:
-        raise ContractViolation("guidance must be 3-wide")
-    x = Tensor(np.concatenate([alpha, guidance], axis=1))
-    return net.forward(tape, x).data[0]
-
-
-def pooled_context(tape, net: FieldNetwork, positions, alphas, listener, source_position,
+def pooled_context(tape, net: FieldNetwork, positions, alphas, listener: Pose, source_position,
                    percentile, tree=None) -> SceneContext:
     """Mean per-point context over the source vicinity and the listener
-    vicinity, concatenated source-first. ``alphas`` may be a list of per-point
-    parameter tensors (training) or a plain (N, K) array (inference)."""
-    listener_pos = listener.position if isinstance(listener, Pose) else np.asarray(listener)
+    vicinity, concatenated source-first. ``alphas`` is the list of per-point
+    (1, K) parameter tensors."""
+    listener_pos = listener.position
     s_idx = vicinity(positions, source_position, percentile, tree=tree)
     l_idx = vicinity(positions, listener_pos, percentile, tree=tree)
 
     def anchor_mean(indices, anchor):
         if indices.size == 0:
             raise ContractViolation("empty vicinity")
-        if isinstance(alphas, (list, tuple)):
-            alpha_block = ad.concat(tape, [alphas[i] for i in indices], axis=0)
-        else:
-            alpha_block = Tensor(np.asarray(alphas)[indices])
+        alpha_block = ad.concat(tape, [alphas[i] for i in indices], axis=0)
         guidance = Tensor(guidance_rows(positions[indices], anchor))
         x = ad.concat(tape, [alpha_block, guidance], axis=1)
         ctx = net.forward(tape, x)

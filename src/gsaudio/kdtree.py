@@ -74,8 +74,13 @@ class KDTree:
         # bounded max-heap keyed lexicographically by (d2, index); Python's
         # min-heap holds negated keys so the worst candidate sits on top
         heap = []
-
-        def visit(node):
+        # depth-first, near side first; a far side carries its squared
+        # distance bound and is tested when popped, after the near subtree
+        stack = [(self._root, 0.0)]
+        while stack:
+            node, bound = stack.pop()
+            if len(heap) == k and bound > -heap[0][0]:
+                continue
             if node.indices is not None:
                 pts = self.points[node.indices]
                 d2 = ((pts - center) ** 2).sum(axis=1)
@@ -85,14 +90,11 @@ class KDTree:
                         heapq.heappush(heap, key)
                     elif key > heap[0]:
                         heapq.heapreplace(heap, key)
-                return
+                continue
             diff = center[node.axis] - node.split
             near, far = (node.left, node.right) if diff <= 0 else (node.right, node.left)
-            visit(near)
-            if len(heap) < k or diff * diff <= -heap[0][0]:
-                visit(far)
-
-        visit(self._root)
+            stack.append((far, diff * diff))
+            stack.append((near, 0.0))
         return np.sort(np.array([-i for _, i in heap], dtype=np.int64))
 
     def count_within(self, center, radius):

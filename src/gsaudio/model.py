@@ -106,8 +106,8 @@ class SceneModel:
         mixture, difference = self.masknet.mask_tensors(tape, xy01, pose.heading(), ctx, n_bins)
         return mixture, difference, ctx
 
-    def masks(self, pose: Pose) -> AcousticMasks:
-        mixture, difference, _ = self.mask_tensors(None, pose)
+    def masks(self, pose: Pose, context=None) -> AcousticMasks:
+        mixture, difference, _ = self.mask_tensors(None, pose, context)
         return AcousticMasks(mixture=mixture.data[:, 0], difference=difference.data[:, 0])
 
     def render(self, pose: Pose, mono: Waveform):

@@ -45,9 +45,6 @@ class Adam:
         self._params.pop(p.uid, None)
         self._slots.pop(p.uid, None)
 
-    def __contains__(self, p: Tensor):
-        return p.uid in self._params
-
     def step(self, grads):
         """Apply one update using ``grads``, a {Tensor: ndarray} map as
         produced by Tape.backward(). Unregistered entries are ignored."""

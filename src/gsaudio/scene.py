@@ -12,6 +12,7 @@ trip is bit-identical. Audio point sets use x,y,z plus alpha_0..K-1.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,22 +110,6 @@ class Pose:
         return math.atan2(self.direction[1], self.direction[0])
 
 
-@dataclass
-class ProjectionInputs:
-    """View transform and projective Jacobian for covariance projection."""
-
-    view: np.ndarray  # (3, 3)
-    jacobian: np.ndarray  # (2, 3)
-
-    def __post_init__(self):
-        self.view = np.asarray(self.view, dtype=np.float64)
-        self.jacobian = np.asarray(self.jacobian, dtype=np.float64)
-        if self.view.shape != (3, 3) or self.jacobian.shape != (2, 3):
-            raise ContractViolation("expected view (3,3) and jacobian (2,3)")
-        if not (np.all(np.isfinite(self.view)) and np.all(np.isfinite(self.jacobian))):
-            raise ContractViolation("non-finite projection inputs")
-
-
 def quaternion_rotation(q):
     """3x3 rotation matrix from a (w, x, y, z) quaternion (normalized here)."""
     q = np.asarray(q, dtype=np.float64).reshape(4)
@@ -148,13 +133,9 @@ def covariance_from_gaussian(quaternion, log_scale):
     return rot @ np.diag(s2) @ rot.T
 
 
-def project_covariance(sigma, view, jacobian=None):
+def project_covariance(sigma, view, jacobian):
     """Project a 3x3 covariance to the 2x2 screen-space covariance
-    J W Sigma W^T J^T. ``view`` may be a ProjectionInputs bundle."""
-    if isinstance(view, ProjectionInputs):
-        view, jacobian = view.view, view.jacobian
-    if jacobian is None:
-        raise ContractViolation("jacobian required")
+    J W Sigma W^T J^T."""
     sigma = np.asarray(sigma, dtype=np.float64)
     view = np.asarray(view, dtype=np.float64)
     jacobian = np.asarray(jacobian, dtype=np.float64)
@@ -196,12 +177,9 @@ def alpha_width(selection):
     return sum(ALPHA_PART_WIDTH[k] for k in selection)
 
 
-def _positions_of(points):
-    return points.positions if hasattr(points, "positions") else np.asarray(points, dtype=np.float64)
-
-
-def vicinity(points, center, percentile, tree: KDTree | None = None):
-    """Indices (ascending) of the nearest ceil(percentile% * N) points.
+def vicinity(positions, center, percentile, tree: KDTree | None = None):
+    """Indices (ascending) of the nearest ceil(percentile% * N) of the (N, 3)
+    ``positions``.
 
     Ties break toward the lower index; the result matches the brute-force
     selection exactly. Pass a prebuilt ``tree`` to amortize queries between
@@ -209,7 +187,6 @@ def vicinity(points, center, percentile, tree: KDTree | None = None):
     """
     if not 0.0 < percentile <= 100.0:
         raise ConfigError(f"percentile must be in (0, 100], got {percentile}")
-    positions = _positions_of(points)
     n = positions.shape[0]
     if n < 1:
         raise ContractViolation("vicinity needs at least one point")
@@ -292,9 +269,11 @@ def _write_ply(path, names, columns):
     header += [f"property double {name}" for name in names]
     header.append("end_header")
     body = np.column_stack(columns).astype("<f8").tobytes()
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(body)
+    os.replace(tmp, path)
 
 
 def _read_ply(path):

@@ -94,10 +94,7 @@ def loss_volume(tape, alphas, active_indices):
     active = np.asarray(active_indices, dtype=np.int64)
     if active.size == 0:
         raise ContractViolation("volume loss needs a non-empty active set")
-    if isinstance(alphas, (list, tuple)):
-        block = ad.concat(tape, [alphas[i] for i in active], axis=0)
-    else:
-        block = Tensor(np.asarray(alphas)[active])
+    block = ad.concat(tape, [alphas[i] for i in active], axis=0)
     return ad.total(tape, ad.row_prod(tape, ad.absolute(tape, block)))
 
 

@@ -10,7 +10,7 @@ def test_square_gradient_at_three():
     x = Tensor(np.array(3.0), param=True)
     tape = Tape()
     y = ad.mul(tape, x, x)
-    grads = tape.backward(y, seed=np.array(1.0))
+    grads = tape.backward(y)
     assert grads[x] == pytest.approx(6.0, abs=1e-12)
 
 
@@ -18,7 +18,7 @@ def test_sigmoid_gradient_at_zero():
     x = Tensor(np.array(0.0), param=True)
     tape = Tape()
     y = ad.sigmoid(tape, x)
-    grads = tape.backward(y, seed=np.array(1.0))
+    grads = tape.backward(y)
     assert grads[x] == pytest.approx(0.25, abs=1e-12)
 
 
@@ -35,14 +35,6 @@ def test_two_layer_perceptron_matches_finite_differences():
 
     err = finite_difference_check(f, rng.standard_normal((1, 8)), step=1e-5)
     assert err < 1e-4
-
-
-def test_seed_shape_mismatch_rejected():
-    x = Tensor(np.ones((2, 3)), param=True)
-    tape = Tape()
-    y = ad.square(tape, x)
-    with pytest.raises(ContractViolation):
-        tape.backward(y, seed=np.ones((3, 2)))
 
 
 def test_non_finite_tensor_rejected():
@@ -142,19 +134,6 @@ def test_backward_linearity():
     lhs = grad_of(combo)
     rhs = a * grad_of(f) + b * grad_of(g)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_replay_reproduces_forward_bits():
-    rng = np.random.default_rng(12)
-    x = Tensor(rng.standard_normal((5, 4)), param=True)
-    w = Tensor(rng.standard_normal((4, 3)))
-    tape = Tape()
-    out = ad.mean(tape, ad.sigmoid(tape, ad.matmul(tape, ad.absolute(tape, x), w)))
-    snapshot = [entry.out.data.copy() for entry in tape.entries]
-    replayed = tape.replay()
-    assert replayed is out
-    for entry, data in zip(tape.entries, snapshot):
-        assert np.array_equal(entry.out.data, data)
 
 
 def test_multiple_uses_accumulate():

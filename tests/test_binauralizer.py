@@ -5,7 +5,7 @@ from gsaudio.autodiff import Tape, Tensor, finite_difference_check
 from gsaudio import autodiff as ad
 from gsaudio.binauralizer import (AcousticMasks, MaskNetwork, binauralize,
                                   normalize_position, positional_encoding,
-                                  predict_rir, query_masks, transform_direction)
+                                  transform_direction)
 from gsaudio.dsp import Waveform, stft
 from gsaudio.errors import ConfigError, ContractViolation
 from gsaudio.scene import Pose
@@ -20,7 +20,19 @@ def zeroed(net):
 
 
 def random_context(rng, width=128):
-    return rng.standard_normal((1, width)) * 0.3
+    return Tensor(rng.standard_normal((1, width)) * 0.3)
+
+
+def masks_of(net, pose, ctx):
+    """Forward-only masks over all bins, with the pose's (x, y) used as is."""
+    mixture, difference = net.mask_tensors(None, pose.position[:2], pose.heading(), ctx, N_BINS)
+    return AcousticMasks(mixture=mixture.data[:, 0], difference=difference.data[:, 0])
+
+
+def ir_of(net, pose, ctx, n_samples):
+    """Forward-only impulse-response amplitudes at t/T = 0, 1/n, ..."""
+    times01 = np.arange(n_samples) / n_samples
+    return net.rir_tensor(None, pose.position[:2], pose.heading(), ctx, times01).data[:, 0]
 
 
 # --- positional encoding ---
@@ -72,7 +84,7 @@ def test_direction_infinite_rejected():
 def test_zero_network_masks():
     net = zeroed(MaskNetwork(mode="binaural", seed=0))
     pose = Pose.from_yaw([0.5, 0.5, 0.0], 0.2)
-    masks = query_masks(net, pose, np.zeros((1, 128)), N_BINS)
+    masks = masks_of(net, pose, Tensor(np.zeros((1, 128))))
     assert np.allclose(masks.mixture, 1.0, atol=1e-15)
     assert np.allclose(masks.difference, 0.0, atol=1e-15)
 
@@ -81,7 +93,7 @@ def test_mask_lengths():
     net = MaskNetwork(mode="binaural", seed=1)
     pose = Pose.from_yaw([0.2, 0.8, 0.0], -0.4)
     rng = np.random.default_rng(2)
-    masks = query_masks(net, pose, random_context(rng), N_BINS)
+    masks = masks_of(net, pose, random_context(rng))
     assert masks.mixture.shape == (N_BINS,)
     assert masks.difference.shape == (N_BINS,)
 
@@ -90,8 +102,8 @@ def test_mixture_ignores_yaw():
     net = MaskNetwork(mode="binaural", seed=3)
     rng = np.random.default_rng(4)
     ctx = random_context(rng)
-    m_pos = query_masks(net, Pose.from_yaw([0.4, 0.6, 0.0], 0.9), ctx, N_BINS)
-    m_neg = query_masks(net, Pose.from_yaw([0.4, 0.6, 0.0], -0.9), ctx, N_BINS)
+    m_pos = masks_of(net, Pose.from_yaw([0.4, 0.6, 0.0], 0.9), ctx)
+    m_neg = masks_of(net, Pose.from_yaw([0.4, 0.6, 0.0], -0.9), ctx)
     assert np.array_equal(m_pos.mixture, m_neg.mixture)
     assert not np.array_equal(m_pos.difference, m_neg.difference)
 
@@ -105,13 +117,13 @@ def test_mask_ranges_on_random_inputs():
         for p in net.params():
             p.data = p.data * 10.0
         pose = Pose.from_yaw(rng.uniform(0, 1, 3), rng.uniform(-6, 6))
-        masks = query_masks(net, pose, rng.standard_normal((1, 128)) * 5, N_BINS)
+        masks = masks_of(net, pose, Tensor(rng.standard_normal((1, 128)) * 5))
         assert np.all(masks.mixture >= 0.0) and np.all(masks.mixture <= 2.0)
         assert np.all(masks.difference >= -1.0) and np.all(masks.difference <= 1.0)
     for seed in range(3):
         net = MaskNetwork(mode="binaural", seed=10 + seed)
         pose = Pose.from_yaw(rng.uniform(0, 1, 3), rng.uniform(-6, 6))
-        masks = query_masks(net, pose, rng.standard_normal((1, 128)), N_BINS)
+        masks = masks_of(net, pose, Tensor(rng.standard_normal((1, 128))))
         assert np.all(masks.mixture > 0.0) and np.all(masks.mixture < 2.0)
         assert np.all(np.abs(masks.difference) < 1.0)
 
@@ -123,8 +135,8 @@ def test_mirror_yaw_probes_differ_at_hard_left_right():
     net.m4[0].data = net.m4[0].data * 1e3
     rng = np.random.default_rng(7)
     ctx = random_context(rng)
-    left = query_masks(net, Pose.from_yaw([0.5, 0.5, 0.0], np.pi / 2), ctx, N_BINS)
-    right = query_masks(net, Pose.from_yaw([0.5, 0.5, 0.0], -np.pi / 2), ctx, N_BINS)
+    left = masks_of(net, Pose.from_yaw([0.5, 0.5, 0.0], np.pi / 2), ctx)
+    right = masks_of(net, Pose.from_yaw([0.5, 0.5, 0.0], -np.pi / 2), ctx)
     assert np.max(np.abs(left.difference - right.difference)) > 1e-3
 
 
@@ -132,7 +144,7 @@ def test_context_width_checked():
     net = MaskNetwork(mode="binaural", seed=8)
     pose = Pose.from_yaw([0.1, 0.1, 0.0], 0.0)
     with pytest.raises(ContractViolation):
-        query_masks(net, pose, np.zeros((1, 64)), N_BINS)
+        masks_of(net, pose, Tensor(np.zeros((1, 64))))
 
 
 # --- binauralize ---
@@ -251,16 +263,15 @@ def test_masks_differentiable_in_weights_and_context():
 def test_zero_network_rir_is_silent():
     net = zeroed(MaskNetwork(mode="rir", seed=15))
     pose = Pose.from_yaw([0.5, 0.5, 0.0], 0.0)
-    ir = predict_rir(net, pose, np.zeros((1, 128)), 500, 22050)
-    assert np.array_equal(ir.samples, np.zeros(500))
+    ir = ir_of(net, pose, Tensor(np.zeros((1, 128))), 500)
+    assert np.array_equal(ir, np.zeros(500))
 
 
 def test_rir_length():
     net = MaskNetwork(mode="rir", seed=16)
     pose = Pose.from_yaw([0.5, 0.5, 0.0], 0.0)
-    ir = predict_rir(net, pose, random_context(np.random.default_rng(17)), 777, 22050)
-    assert len(ir.samples) == 777
-    assert ir.sample_rate == 22050
+    ir = ir_of(net, pose, random_context(np.random.default_rng(17)), 777)
+    assert len(ir) == 777
 
 
 def test_rir_distinguishes_head_orientations():
@@ -270,7 +281,7 @@ def test_rir_distinguishes_head_orientations():
     irs = []
     for deg in (0, 90, 180, 270):
         pose = Pose.from_yaw([0.5, 0.5, 0.0], np.deg2rad(deg))
-        irs.append(predict_rir(net, pose, ctx, 400, 22050).samples)
+        irs.append(ir_of(net, pose, ctx, 400))
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.max(np.abs(irs[i] - irs[j])) > 1e-8
@@ -279,7 +290,7 @@ def test_rir_distinguishes_head_orientations():
 def test_rir_mode_rejects_mask_query():
     net = MaskNetwork(mode="rir", seed=20)
     with pytest.raises(ConfigError):
-        query_masks(net, Pose.from_yaw([0, 0, 0], 0.0), np.zeros((1, 128)), N_BINS)
+        masks_of(net, Pose.from_yaw([0, 0, 0], 0.0), Tensor(np.zeros((1, 128))))
 
 
 def test_bad_mode_rejected():
@@ -305,7 +316,7 @@ def test_mask_checkpoint_round_trip(tmp_path):
     assert back.mode == "binaural"
     pose = Pose.from_yaw([0.4, 0.4, 0.0], 1.1)
     ctx = random_context(np.random.default_rng(22))
-    a = query_masks(net, pose, ctx, N_BINS)
-    b = query_masks(back, pose, ctx, N_BINS)
+    a = masks_of(net, pose, ctx)
+    b = masks_of(back, pose, ctx)
     assert np.array_equal(a.mixture, b.mixture)
     assert np.array_equal(a.difference, b.difference)

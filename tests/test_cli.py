@@ -140,6 +140,24 @@ def test_bench_report(tiny_run, tmp_path):
     assert set(report["breakdown_mean_s"]) == {"context_s", "masks_s", "reconstruct_s"}
 
 
+def test_bench_computes_context_once_per_render(tiny_run, monkeypatch, capsys):
+    from gsaudio.cli import main
+    from gsaudio.model import SceneModel
+
+    calls = []
+    context = SceneModel.context
+
+    def counted(self, tape, listener):
+        calls.append(listener)
+        return context(self, tape, listener)
+
+    monkeypatch.setattr(SceneModel, "context", counted)
+    assert main(["bench", "--checkpoint", str(tiny_run / "final"), "--n", "10"]) == 0
+    capsys.readouterr()
+    # one warm-up render, then one context per timed render
+    assert len(calls) == 11
+
+
 def test_bench_minimum_renders(tiny_run):
     proc = run_cli(["bench", "--checkpoint", tiny_run / "final", "--n", 5])
     assert proc.returncode == 1

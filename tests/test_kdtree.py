@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ def test_knn_small_k_forces_tree_path():
     for _ in range(20):
         center = rng.standard_normal(3)
         assert np.array_equal(tree.query_knn(center, 5), brute_force_knn(pts, center, 5))
+
+
+def test_knn_query_leaves_no_reference_cycles():
+    rng = np.random.default_rng(43)
+    tree = KDTree(rng.standard_normal((2000, 3)), leaf_size=16)
+    gc.collect()
+    gc.disable()
+    try:
+        tree.query_knn(np.zeros(3), 50)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("trial", range(10))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsaudio import scene
 from gsaudio.binauralizer import MaskNetwork
 from gsaudio.dsp import Waveform
 from gsaudio.errors import ConfigError
@@ -64,6 +65,7 @@ def test_render_rejects_rir_mode():
         model.render(Pose.from_yaw([1, 1, 1], 0.0), mono)
     ir = model.predict_ir(Pose.from_yaw([1, 1, 1], 0.0), 500)
     assert len(ir.samples) == 500
+    assert ir.sample_rate == model.sample_rate
 
 
 def test_predict_ir_rejects_binaural_mode():
@@ -78,3 +80,34 @@ def test_point_set_round_trips_alpha():
     assert isinstance(pts, AudioPointSet)
     assert np.array_equal(pts.alpha, model.alpha_matrix())
     assert np.array_equal(pts.positions, model.positions)
+
+
+def test_failed_points_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model = make_model(seed=8, n_points=20)
+    model.save(tmp_path / "ckpt")
+    model.add_points(np.array([[1.0, 1.0, 1.0]]), [np.zeros((1, 52))])
+    real_open = open
+
+    class FailingWrite:
+        """Writes half of the first buffer, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(scene, "open", lambda *a, **k: FailingWrite(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        model.save(tmp_path / "ckpt")
+    monkeypatch.undo()
+    back = SceneModel.load(tmp_path / "ckpt")
+    assert back.point_count == 20

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsaudio.errors import ConfigError, ContractViolation, DataError, SchemaError
-from gsaudio.scene import (AudioPointSet, Pose, ProjectionInputs, alpha_width,
+from gsaudio.scene import (AudioPointSet, Pose, alpha_width,
                            covariance_from_gaussian, init_audio_points,
                            load_audio_points, load_gaussian_cloud, project_covariance,
                            prune_outliers, quaternion_rotation, save_audio_points,
@@ -125,15 +125,6 @@ def test_projected_covariance_stays_psd():
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
 
 
-def test_projection_inputs_bundle():
-    sigma = np.diag([1.0, 2.0, 3.0])
-    inputs = ProjectionInputs(view=np.eye(3), jacobian=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    out = project_covariance(sigma, inputs)
-    assert np.allclose(out, np.diag([1.0, 2.0]))
-    with pytest.raises(ContractViolation):
-        ProjectionInputs(view=np.eye(3), jacobian=np.full((2, 3), np.nan))
-
-
 def test_thousand_point_cloud_schema_echo(tmp_path):
     rng = np.random.default_rng(1000)
     cloud = synthetic_cloud([0, 0, 0], [6, 4, 3], 1000, rng)
@@ -147,6 +138,9 @@ def test_asymmetric_sigma_rejected():
     bad = np.array([[1.0, 0.5, 0], [0.2, 1.0, 0], [0, 0, 1.0]])
     with pytest.raises(ContractViolation):
         project_covariance(bad, np.eye(3), np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    # a non-finite jacobian is rejected the same way
+    with pytest.raises(ContractViolation):
+        project_covariance(np.eye(3), np.eye(3), np.full((2, 3), np.nan))
 
 
 def test_covariance_from_gaussian_psd():
@@ -195,24 +189,20 @@ def test_empty_selection_rejected(cloud):
 
 def test_vicinity_percentile_count():
     rng = np.random.default_rng(4)
-    pts = AudioPointSet(positions=rng.uniform(0, 1, (100, 3)),
-                        alpha=np.zeros((100, 52)))
-    idx = vicinity(pts, np.array([0.5, 0.5, 0.5]), 15)
+    idx = vicinity(rng.uniform(0, 1, (100, 3)), np.array([0.5, 0.5, 0.5]), 15)
     assert len(idx) == 15
 
 
 def test_vicinity_full_percentile_returns_all():
     rng = np.random.default_rng(5)
-    pts = AudioPointSet(positions=rng.uniform(0, 1, (37, 3)), alpha=np.zeros((37, 1)))
-    assert len(vicinity(pts, np.zeros(3), 100)) == 37
+    assert len(vicinity(rng.uniform(0, 1, (37, 3)), np.zeros(3), 100)) == 37
 
 
 def test_vicinity_matches_exhaustive_sort():
     rng = np.random.default_rng(6)
     positions = rng.uniform(0, 3, (200, 3))
-    pts = AudioPointSet(positions=positions, alpha=np.zeros((200, 4)))
     center = rng.uniform(0, 3, 3)
-    got = vicinity(pts, center, 10)
+    got = vicinity(positions, center, 10)
     d2 = ((positions - center) ** 2).sum(axis=1)
     want = np.sort(np.lexsort((np.arange(200), d2))[:20])
     assert np.array_equal(got, want)
@@ -229,10 +219,9 @@ def test_vicinity_permutation_invariant():
 
 
 def test_vicinity_bad_percentile_rejected():
-    pts = AudioPointSet(positions=np.zeros((3, 3)), alpha=np.zeros((3, 1)))
     for p in (0, -5, 101):
         with pytest.raises(ConfigError):
-            vicinity(pts, np.zeros(3), p)
+            vicinity(np.zeros((3, 3)), np.zeros(3), p)
 
 
 # --- outlier pruning ---
