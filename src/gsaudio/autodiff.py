@@ -4,8 +4,8 @@ A Tape records every primitive applied to tracked tensors, in execution
 order. Gradients come from walking that record backwards once, so the
 accumulation order is fixed and repeat runs are bit-identical. The primitive
 set is small on purpose: matrix multiply, broadcast arithmetic, relu and
-sigmoid, concatenation, reductions, and a row-wise product used by the
-volume regularizer.
+sigmoid, concatenation, row gathering, reductions, and a row-wise product
+used by the volume regularizer.
 
 Ops are module-level functions taking the tape as first argument; pass
 ``tape=None`` for a forward-only evaluation (inference reuses the exact same
@@ -46,6 +46,9 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    def __len__(self):
+        return len(self.data)
 
     def __repr__(self):
         tag = self.name if self.name else f"t{self.uid}"
@@ -221,6 +224,22 @@ def concat(tape, tensors, axis=0):
 
     return _record(tape, "concat", tensors,
                    np.concatenate([t.data for t in tensors], axis=axis), bwd)
+
+
+def gather_rows(tape, a, indices):
+    """Rows ``indices`` of ``a`` (entries of its first axis), in that order;
+    an index may repeat. The backward pass scatter-adds into a dense zero
+    gradient of ``a``'s shape."""
+    a = _wrap(a)
+    indices = np.asarray(indices, dtype=np.int64)
+    shape = a.data.shape
+
+    def bwd(g):
+        full = np.zeros(shape)
+        np.add.at(full, indices, g)
+        return (full,)
+
+    return _record(tape, "gather_rows", (a,), a.data[indices], bwd)
 
 
 def mean(tape, a, axis=None, keepdims=False):

@@ -110,8 +110,8 @@ class SceneContext:
 def pooled_context(tape, net: FieldNetwork, positions, alphas, listener: Pose, source_position,
                    percentile, tree=None) -> SceneContext:
     """Mean per-point context over the source vicinity and the listener
-    vicinity, concatenated source-first. ``alphas`` is the list of per-point
-    (1, K) parameter tensors."""
+    vicinity, concatenated source-first. ``alphas`` is the (N, K) parameter
+    tensor whose row i is the audio guidance of point i."""
     listener_pos = listener.position
     s_idx = vicinity(positions, source_position, percentile, tree=tree)
     l_idx = vicinity(positions, listener_pos, percentile, tree=tree)
@@ -119,7 +119,7 @@ def pooled_context(tape, net: FieldNetwork, positions, alphas, listener: Pose, s
     def anchor_mean(indices, anchor):
         if indices.size == 0:
             raise ContractViolation("empty vicinity")
-        alpha_block = ad.concat(tape, [alphas[i] for i in indices], axis=0)
+        alpha_block = ad.gather_rows(tape, alphas, indices)
         guidance = Tensor(guidance_rows(positions[indices], anchor))
         x = ad.concat(tape, [alpha_block, guidance], axis=1)
         ctx = net.forward(tape, x)

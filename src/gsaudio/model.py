@@ -39,8 +39,7 @@ class SceneModel:
                 f"field expects alpha width {field.alpha_dim}, points have {points.alpha_dim}"
             )
         self.positions = points.positions.copy()
-        self.alphas = [Tensor(points.alpha[i : i + 1].copy(), param=True, name=f"alpha[{i}]")
-                       for i in range(len(points))]
+        self.alphas = Tensor(points.alpha.copy(), param=True, name="alphas")
         self.field = field
         self.masknet = masknet
         self.source = np.asarray(source, dtype=np.float64).reshape(3)
@@ -63,11 +62,8 @@ class SceneModel:
     def point_count(self):
         return self.positions.shape[0]
 
-    def alpha_matrix(self):
-        return np.concatenate([t.data for t in self.alphas], axis=0)
-
     def point_set(self) -> AudioPointSet:
-        return AudioPointSet(positions=self.positions.copy(), alpha=self.alpha_matrix())
+        return AudioPointSet(positions=self.positions.copy(), alpha=self.alphas.data.copy())
 
     def spatial_index(self):
         if self.point_count < BRUTE_FORCE_LIMIT:
@@ -80,17 +76,15 @@ class SceneModel:
         self._tree = None
 
     def add_points(self, positions, alphas):
-        start = self.point_count
+        """Append points (M, 3) with their alpha rows (M, K). Both re-indexes
+        keep the alpha tensor itself, so an optimizer holding it follows."""
         self.positions = np.concatenate([self.positions, positions], axis=0)
-        for i, row in enumerate(alphas):
-            self.alphas.append(Tensor(np.asarray(row, dtype=np.float64).reshape(1, -1),
-                                      param=True, name=f"alpha[{start + i}]"))
+        self.alphas.data = np.concatenate([self.alphas.data, alphas], axis=0)
         self.invalidate_index()
 
     def keep_points(self, keep_indices):
-        keep_indices = np.asarray(keep_indices, dtype=np.int64)
-        self.positions = self.positions[keep_indices].copy()
-        self.alphas = [self.alphas[i] for i in keep_indices]
+        self.positions = self.positions[keep_indices]
+        self.alphas.data = self.alphas.data[keep_indices]
         self.invalidate_index()
 
     # --- forward paths ---

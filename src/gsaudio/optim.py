@@ -1,26 +1,26 @@
 """First/second-moment adaptive optimizer with bias correction.
 
-Parameters can be registered and dropped at any time, which is how the
-training loop keeps optimizer slots in sync with point densification and
-pruning. Updates are "lazy": a registered parameter that receives no
-gradient this step is left untouched, moments included.
+Every parameter keeps one step count per row (per entry of its leading
+axis). A step updates only the rows it is given, so a row that received no
+gradient keeps its value, its moments and its step count: the lazy update of
+sparse Adam variants, which the per-point alpha matrix needs because each
+step reaches only the points near the source and the listener. When points
+are added or removed, ``reindex`` applies the same row selection to the
+optimizer state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractViolation
 
 
-class _Slot:
-    __slots__ = ("m", "v", "t")
-
-    def __init__(self, shape):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
+def reindex_rows(array, keep, n_new):
+    """Rows ``keep`` of ``array``, in that order, followed by ``n_new`` zero
+    rows: how per-row state follows densify and prune."""
+    fresh = np.zeros((n_new,) + array.shape[1:], dtype=array.dtype)
+    return np.concatenate([array[keep], fresh])
 
 
 class Adam:
@@ -29,26 +29,21 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self._params = {}
-        self._slots = {}
-        for p in params:
-            self.add_param(p)
-
-    def add_param(self, p: Tensor):
-        if not p.param:
+        self.params = list(params)
+        if not all(p.param for p in self.params):
             raise ContractViolation("optimizer can only track parameter tensors")
-        if p.uid not in self._params:
-            self._params[p.uid] = p
-            self._slots[p.uid] = _Slot(p.data.shape)
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self.t = [np.zeros(len(p), dtype=np.int64) for p in self.params]
+        self._c1 = self._c2 = np.zeros(0)
 
-    def drop_param(self, p: Tensor):
-        self._params.pop(p.uid, None)
-        self._slots.pop(p.uid, None)
-
-    def step(self, grads):
+    def step(self, grads, rows=None):
         """Apply one update using ``grads``, a {Tensor: ndarray} map as
-        produced by Tape.backward(). Unregistered entries are ignored."""
-        for uid, p in self._params.items():
+        produced by Tape.backward(); parameters without an entry are left
+        untouched. ``rows`` (unique indices into the leading axis) limits the
+        update to those rows; by default every row is updated."""
+        rows = slice(None) if rows is None else rows
+        for p, m, v, t in zip(self.params, self.m, self.v, self.t):
             g = grads.get(p)
             if g is None:
                 continue
@@ -56,34 +51,43 @@ class Adam:
                 raise ContractViolation(
                     f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
                 )
-            slot = self._slots[uid]
-            slot.t += 1
-            slot.m = self.beta1 * slot.m + (1.0 - self.beta1) * g
-            slot.v = self.beta2 * slot.v + (1.0 - self.beta2) * (g * g)
-            m_hat = slot.m / (1.0 - self.beta1 ** slot.t)
-            v_hat = slot.v / (1.0 - self.beta2 ** slot.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g = g[rows]
+            t[rows] += 1
+            m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * g
+            v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * (g * g)
+            m[rows] = m_rows
+            v[rows] = v_rows
+            c1, c2 = self._bias_corrections(t[rows], p.data.ndim)
+            m_hat = m_rows / c1
+            v_hat = v_rows / c2
+            p.data[rows] = p.data[rows] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def _bias_corrections(self, t, ndim):
+        """Per-row 1 - beta ** t, shaped to broadcast over a row. Each power is
+        Python's float power, taken once per step count and kept in a table."""
+        top = int(t.max(initial=0))
+        if top >= self._c1.size:
+            steps = range(self._c1.size, top + 1)
+            self._c1 = np.append(self._c1, [1.0 - self.beta1 ** s for s in steps])
+            self._c2 = np.append(self._c2, [1.0 - self.beta2 ** s for s in steps])
+        shape = (-1,) + (1,) * (ndim - 1)
+        return self._c1[t].reshape(shape), self._c2[t].reshape(shape)
+
+    def reindex(self, keep, n_new=0):
+        """Follow a re-index of the parameters' rows: keep rows ``keep`` and
+        append ``n_new`` rows whose moments and step counts start at zero."""
+        self.m = [reindex_rows(m, keep, n_new) for m in self.m]
+        self.v = [reindex_rows(v, keep, n_new) for v in self.v]
+        self.t = [reindex_rows(t, keep, n_new) for t in self.t]
 
     def state_arrays(self):
-        """Flat snapshot of moments and step counters, in registration order.
-
-        Used by checkpointing; pairs with ``load_state_arrays`` after the
-        parameter registry has been rebuilt in the same order.
-        """
-        out = []
-        for uid in self._params:
-            slot = self._slots[uid]
-            out.append((slot.m.copy(), slot.v.copy(), slot.t))
-        return out
+        """(m, v, per-row t) copies for each parameter, in constructor order."""
+        return [(m.copy(), v.copy(), t.copy()) for m, v, t in zip(self.m, self.v, self.t)]
 
     def load_state_arrays(self, states):
-        uids = list(self._params)
-        if len(states) != len(uids):
-            raise ContractViolation("optimizer state count does not match registry")
-        for uid, (m, v, t) in zip(uids, states):
-            slot = self._slots[uid]
-            if m.shape != slot.m.shape:
-                raise ContractViolation("optimizer state shape mismatch")
-            slot.m = m.copy()
-            slot.v = v.copy()
-            slot.t = int(t)
+        want = [(p.data.shape, p.data.shape, (len(p),)) for p in self.params]
+        if [tuple(a.shape for a in state) for state in states] != want:
+            raise ContractViolation("optimizer state does not match its parameters")
+        self.m = [np.array(m, dtype=np.float64) for m, _, _ in states]
+        self.v = [np.array(v, dtype=np.float64) for _, v, _ in states]
+        self.t = [np.array(t, dtype=np.int64) for _, _, t in states]

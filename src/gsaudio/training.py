@@ -23,7 +23,7 @@ from .dsp import Waveform, env_distance, mag_distance, stft
 from .errors import ConfigError, ContractViolation, EvaluationError, MetricUndefined
 from .irmetrics import rir_metrics
 from .model import SceneModel
-from .optim import Adam
+from .optim import Adam, reindex_rows
 from .roomsim import ear_positions
 from .scene import Pose, prune_outliers
 from .training_state import load_train_state, save_train_state
@@ -90,11 +90,11 @@ def loss_reconstruction(tape, pred_m, pred_l, pred_r, gt_m, gt_l, gt_r):
 
 
 def loss_volume(tape, alphas, active_indices):
-    """Sum over active points of the product of |alpha| entries."""
+    """Sum over the active rows of the (N, K) ``alphas`` of their |alpha| products."""
     active = np.asarray(active_indices, dtype=np.int64)
     if active.size == 0:
         raise ContractViolation("volume loss needs a non-empty active set")
-    block = ad.concat(tape, [alphas[i] for i in active], axis=0)
+    block = ad.gather_rows(tape, alphas, active)
     return ad.total(tape, ad.row_prod(tape, ad.absolute(tape, block)))
 
 
@@ -126,13 +126,10 @@ class GradStats:
         self.grad_sum[:] = 0.0
         self.counts[:] = 0
 
-    def extend(self, n_new):
-        self.grad_sum = np.concatenate([self.grad_sum, np.zeros(n_new)])
-        self.counts = np.concatenate([self.counts, np.zeros(n_new, dtype=np.int64)])
-
-    def keep(self, indices):
-        self.grad_sum = self.grad_sum[indices].copy()
-        self.counts = self.counts[indices].copy()
+    def reindex(self, keep, n_new=0):
+        """Keep rows ``keep`` and append ``n_new`` points with no statistics."""
+        self.grad_sum = reindex_rows(self.grad_sum, keep, n_new)
+        self.counts = reindex_rows(self.counts, keep, n_new)
 
 
 @dataclass
@@ -190,7 +187,7 @@ class Trainer:
         self.stats = GradStats(model.point_count)
         self.opt_nets = Adam(model.network_params(), lr=config.lr_nets,
                              beta1=config.beta1, beta2=config.beta2, eps=config.eps)
-        self.opt_alpha = Adam(model.alphas, lr=config.lr_alpha,
+        self.opt_alpha = Adam([model.alphas], lr=config.lr_alpha,
                               beta1=config.beta1, beta2=config.beta2, eps=config.eps)
         self.iteration = 0
         self.best_value = float(np.inf)
@@ -266,12 +263,9 @@ class Trainer:
         if not np.isfinite(loss):
             raise EvaluationError(f"non-finite loss on sample {sample.sample_id}")
         grads = tape.backward(loss_t)
-        magnitudes = np.array(
-            [float(np.linalg.norm(grads.get(model.alphas[i], _ZERO))) for i in active]
-        )
-        self.stats.update(active, magnitudes)
+        self.stats.update(active, np.linalg.norm(grads[model.alphas][active], axis=1))
         self.opt_nets.step(grads)
-        self.opt_alpha.step(grads)
+        self.opt_alpha.step(grads, active)
         return loss
 
     # --- point management ---
@@ -281,44 +275,38 @@ class Trainer:
         exceeds the threshold; resets the statistics."""
         theta = self.stats.theta()
         significant = np.flatnonzero(theta > self.config.densify_threshold)
-        model = self.model
-        new_positions = []
-        new_alphas = []
-        alpha_dim = model.field.alpha_dim
-        for i in significant:
-            diff = model.positions - model.positions[i]
-            d2 = np.sort((diff**2).sum(axis=1))
-            nn = float(np.sqrt(d2[1])) if d2.size > 1 else 1.0
-            scatter = max(nn, 1e-6)
-            new_positions.append(model.positions[i] + self.rng.standard_normal(3) * scatter)
-            new_alphas.append(self.rng.uniform(-0.01, 0.01, size=(1, alpha_dim)))
-        if new_positions:
-            before = model.point_count
-            model.add_points(np.asarray(new_positions), new_alphas)
-            for t in model.alphas[before:]:
-                self.opt_alpha.add_param(t)
-            self.stats.extend(len(new_positions))
+        positions = self.model.positions
+        n_new = significant.size
+        new_positions = np.empty((n_new, 3))
+        new_alphas = np.empty((n_new, self.model.field.alpha_dim))
+        for row, i in enumerate(significant):
+            d2 = ((positions - positions[i]) ** 2).sum(axis=1)
+            nn = float(np.sqrt(np.partition(d2, 1)[1])) if d2.size > 1 else 1.0
+            new_positions[row] = positions[i] + self.rng.standard_normal(3) * max(nn, 1e-6)
+            new_alphas[row] = self.rng.uniform(-0.01, 0.01, size=(1, new_alphas.shape[1]))
+        if n_new:
+            self.model.add_points(new_positions, new_alphas)
+            self.opt_alpha.reindex(slice(None), n_new)
+            self.stats.reindex(slice(None), n_new)
         self.stats.reset()
-        return len(new_positions)
+        return int(n_new)
 
     def prune(self):
-        """Drop isolated points; optimizer slots and statistics follow."""
-        removed_count = 0
-        points = self.model.point_set()
+        """Drop isolated points; optimizer state and statistics follow."""
         try:
-            retained, removed = prune_outliers(points, self.config.prune_min_neighbors,
+            retained, removed = prune_outliers(self.model.point_set(),
+                                               self.config.prune_min_neighbors,
                                                self.config.prune_radius)
         except ContractViolation:
             log.warning("every point is an outlier; skipping this pruning pass")
             return 0
-        if removed.size and len(retained) > 0:
-            keep = np.setdiff1d(np.arange(self.model.point_count), removed, assume_unique=True)
-            for i in removed:
-                self.opt_alpha.drop_param(self.model.alphas[i])
-            self.model.keep_points(keep)
-            self.stats.keep(keep)
-            removed_count = int(removed.size)
-        return removed_count
+        if removed.size == 0 or len(retained) == 0:
+            return 0
+        keep = np.setdiff1d(np.arange(self.model.point_count), removed, assume_unique=True)
+        self.model.keep_points(keep)
+        self.opt_alpha.reindex(keep)
+        self.stats.reindex(keep)
+        return int(removed.size)
 
     # --- evaluation ---
 
@@ -417,9 +405,6 @@ class Trainer:
         trainer = cls(model, dataset, config)
         load_train_state(checkpoint_dir, trainer)
         return trainer
-
-
-_ZERO = np.zeros(1)
 
 
 # --- evaluation helpers ---

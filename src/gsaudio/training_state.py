@@ -14,7 +14,7 @@ STATE_NAME = "train_state.npz"
 
 
 def save_train_state(directory, trainer):
-    alpha_states = trainer.opt_alpha.state_arrays()
+    [(alpha_m, alpha_v, alpha_t)] = trainer.opt_alpha.state_arrays()
     net_states = trainer.opt_nets.state_arrays()
     payload = {
         "iteration": np.array(trainer.iteration, dtype=np.int64),
@@ -22,10 +22,11 @@ def save_train_state(directory, trainer):
         "rng_state": np.array(json.dumps(trainer.rng.bit_generator.state)),
         "grad_sum": trainer.stats.grad_sum,
         "grad_counts": trainer.stats.counts,
-        "alpha_m": np.stack([m[0] for m, _, _ in alpha_states]) if alpha_states else np.zeros((0, 0)),
-        "alpha_v": np.stack([v[0] for _, v, _ in alpha_states]) if alpha_states else np.zeros((0, 0)),
-        "alpha_t": np.array([t for _, _, t in alpha_states], dtype=np.int64),
-        "net_t": np.array([t for _, _, t in net_states], dtype=np.int64),
+        "alpha_m": alpha_m,
+        "alpha_v": alpha_v,
+        "alpha_t": alpha_t,
+        # a network parameter is always stepped whole: its rows share one count
+        "net_t": np.array([t[0] for _, _, t in net_states], dtype=np.int64),
     }
     for i, (m, v, _) in enumerate(net_states):
         payload[f"net_m_{i}"] = m
@@ -46,17 +47,12 @@ def load_train_state(directory, trainer):
         trainer.rng.bit_generator.state = json.loads(str(data["rng_state"]))
         trainer.stats.grad_sum = data["grad_sum"].copy()
         trainer.stats.counts = data["grad_counts"].copy()
-        n_alpha = data["alpha_t"].shape[0]
-        if n_alpha != trainer.model.point_count:
+        if data["alpha_t"].shape[0] != trainer.model.point_count:
             raise DataError("train state does not match point count")
-        alpha_states = [
-            (data["alpha_m"][i][None, :], data["alpha_v"][i][None, :], int(data["alpha_t"][i]))
-            for i in range(n_alpha)
-        ]
-        trainer.opt_alpha.load_state_arrays(alpha_states)
-        net_t = data["net_t"]
-        net_states = [
-            (data[f"net_m_{i}"].copy(), data[f"net_v_{i}"].copy(), int(net_t[i]))
-            for i in range(net_t.shape[0])
-        ]
+        trainer.opt_alpha.load_state_arrays(
+            [(data["alpha_m"], data["alpha_v"], data["alpha_t"])])
+        net_states = []
+        for i, t in enumerate(data["net_t"]):
+            m = data[f"net_m_{i}"]
+            net_states.append((m, data[f"net_v_{i}"], np.full(len(m), t)))
         trainer.opt_nets.load_state_arrays(net_states)

@@ -42,7 +42,7 @@ def test_criterion_1_gradient_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(123)
     positions = rng.uniform([0.5, 0.5, 0.5], [5.5, 3.5, 2.5], (10, 3))
-    alphas = [Tensor(rng.standard_normal((1, 52)) * 0.4, param=True) for _ in range(10)]
+    alphas = Tensor(rng.standard_normal((10, 52)) * 0.4, param=True)
     field = FieldNetwork(alpha_dim=52, rng=rng)
     masknet = MaskNetwork(mode="binaural", rng=rng)
     # certify gradients at generic weight scales: the difference head's
@@ -106,7 +106,7 @@ def test_criterion_1_gradient_suite():
     for _ in range(32):
         point = int(rng.integers(10))
         coord = int(rng.integers(52))
-        probe(alphas[point].data, grads[alphas[point]], coord)
+        probe(alphas.data[point], grads[alphas][point], coord)
     params = field.params() + masknet.params()
     for _ in range(32):
         p = params[int(rng.integers(len(params)))]

@@ -89,6 +89,33 @@ def test_primitive_gradients_exact(name):
     assert err < 1e-6, f"{name}: {err}"
 
 
+def test_gather_rows_repeated_indices_match_finite_differences():
+    rng = np.random.default_rng(4)
+    weights = Tensor(rng.standard_normal((5, 2)))
+    indices = np.array([3, 0, 3, 1, 3])  # row 3 three times, rows 2 and 4 never
+
+    def f(tape, x):
+        rows = ad.gather_rows(tape, x, indices)
+        return ad.total(tape, ad.sigmoid(tape, ad.matmul(tape, rows, weights)))
+
+    point = rng.standard_normal((6, 5))
+    err = finite_difference_check(f, point, step=1e-6)
+    assert err < 1e-6
+    x = Tensor(point, param=True)
+    tape = Tape()
+    grads = tape.backward(f(tape, x))
+    assert grads[x].shape == (6, 5)
+    assert np.all(grads[x][[2, 4, 5]] == 0.0)
+
+
+def test_gather_rows_forward_and_len():
+    a = Tensor(np.arange(12.0).reshape(4, 3))
+    out = ad.gather_rows(None, a, [2, 2, 0])
+    assert np.array_equal(out.data, a.data[[2, 2, 0]])
+    assert len(a) == 4
+    assert len(out) == 3
+
+
 def test_broadcast_add_gradient():
     rng = np.random.default_rng(1)
     rows = Tensor(rng.standard_normal((6, 4)))

@@ -16,8 +16,8 @@ def forward_one(net, alpha, g):
 
 
 def alpha_rows(alphas):
-    """Per-point (1, K) tensors, the form SceneModel passes to pooled_context."""
-    return [Tensor(row[None, :]) for row in alphas]
+    """The (N, K) alpha tensor, the form SceneModel passes to pooled_context."""
+    return Tensor(alphas, param=True)
 
 
 def test_guidance_unit_x():
@@ -146,16 +146,8 @@ def test_pooled_context_differentiable_in_alpha():
     rng = np.random.default_rng(8)
     alpha0 = rng.standard_normal((8, 52)) * 0.4
 
-    def _row(tape, block, i):
-        # pick row i with a selector matmul, keeping gradients exact
-        sel = np.zeros((1, 8))
-        sel[0, i] = 1.0
-        return ad.matmul(tape, Tensor(sel), block)
-
     def f(tape, alpha_block):
-        ctx = pooled_context(tape, net, positions,
-                             [_row(tape, alpha_block, i) for i in range(8)],
-                             listener, source, 50)
+        ctx = pooled_context(tape, net, positions, alpha_block, listener, source, 50)
         return ad.mean(tape, ad.square(tape, ctx.tensor))
 
     err = finite_difference_check(f, alpha0, step=1e-5)

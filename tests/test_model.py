@@ -48,14 +48,21 @@ def test_alpha_width_must_match_field(tmp_path):
                    source=np.zeros(3), bounds=(np.zeros(3), np.ones(3)))
 
 
-def test_add_and_keep_points_track_optimous_state():
+def test_add_and_keep_points_track_optimizer_state():
     model = make_model(seed=4, n_points=10)
-    model.add_points(np.array([[1.0, 1.0, 1.0]]), [np.zeros((1, 52))])
+    alphas = model.alphas
+    model.add_points(np.array([[1.0, 1.0, 1.0]]), np.full((1, 52), 0.5))
     assert model.point_count == 11
-    assert model.alphas[-1].data.shape == (1, 52)
-    model.keep_points(np.arange(5))
+    assert model.alphas.shape == (11, 52)
+    assert np.all(model.alphas.data[-1] == 0.5)
+    keep = np.array([0, 3, 4, 7, 10])
+    before = model.alphas.data.copy()
+    model.keep_points(keep)
     assert model.point_count == 5
-    assert len(model.alphas) == 5
+    assert model.alphas.shape == (5, 52)
+    assert np.array_equal(model.alphas.data, before[keep])
+    # the same parameter tensor throughout, so an optimizer holding it follows
+    assert model.alphas is alphas
 
 
 def test_render_rejects_rir_mode():
@@ -78,14 +85,14 @@ def test_point_set_round_trips_alpha():
     model = make_model(seed=7, n_points=12)
     pts = model.point_set()
     assert isinstance(pts, AudioPointSet)
-    assert np.array_equal(pts.alpha, model.alpha_matrix())
+    assert np.array_equal(pts.alpha, model.alphas.data)
     assert np.array_equal(pts.positions, model.positions)
 
 
 def test_failed_points_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     model = make_model(seed=8, n_points=20)
     model.save(tmp_path / "ckpt")
-    model.add_points(np.array([[1.0, 1.0, 1.0]]), [np.zeros((1, 52))])
+    model.add_points(np.array([[1.0, 1.0, 1.0]]), np.zeros((1, 52)))
     real_open = open
 
     class FailingWrite:

@@ -51,10 +51,10 @@ def test_step_counter_and_moments_track_shape():
     opt = Adam([p], lr=1e-3)
     for i in range(1, 4):
         opt.step({p: np.full((3, 4), 0.1)})
-        slot = opt._slots[p.uid]
-        assert slot.t == i
-        assert slot.m.shape == (3, 4)
-        assert slot.v.shape == (3, 4)
+        [(m, v, t)] = opt.state_arrays()
+        assert np.array_equal(t, [i, i, i])
+        assert m.shape == (3, 4)
+        assert v.shape == (3, 4)
 
 
 def test_untracked_gradients_ignored():
@@ -66,14 +66,86 @@ def test_untracked_gradients_ignored():
     assert stranger.data[0] == 1.0
 
 
-def test_add_and_drop_params():
-    p, q = make_param([0.0]), make_param([0.0])
+def per_tensor_step(row, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: one lazy update of a single (1, K) tensor with its own
+    moments and step count."""
+    row["t"] += 1
+    row["m"] = beta1 * row["m"] + (1.0 - beta1) * g
+    row["v"] = beta2 * row["v"] + (1.0 - beta2) * (g * g)
+    m_hat = row["m"] / (1.0 - beta1 ** row["t"])
+    v_hat = row["v"] / (1.0 - beta2 ** row["t"])
+    row["data"] = row["data"] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def fresh_row(data):
+    return {"data": data.copy(), "m": np.zeros_like(data), "v": np.zeros_like(data), "t": 0}
+
+
+class RowCase:
+    """An (N, K) parameter stepped on row subsets next to N separate (1, K)
+    tensors stepped one by one."""
+
+    lr = 3e-3
+
+    def __init__(self, rng, n, k):
+        self.rng = rng
+        init = rng.standard_normal((n, k))
+        self.p = make_param(init.copy())
+        self.opt = Adam([self.p], lr=self.lr)
+        self.rows = [fresh_row(init[i : i + 1]) for i in range(n)]
+
+    def steps(self, count):
+        for _ in range(count):
+            n = len(self.rows)
+            active = np.sort(self.rng.choice(n, size=int(self.rng.integers(1, n + 1)),
+                                             replace=False))
+            g = self.rng.standard_normal(self.p.data.shape)
+            self.opt.step({self.p: g}, active)
+            for i in active:
+                per_tensor_step(self.rows[i], g[i : i + 1], self.lr)
+            self.check()
+
+    def check(self):
+        [(m, v, t)] = self.opt.state_arrays()
+        for key, got in (("data", self.p.data), ("m", m), ("v", v)):
+            assert np.array_equal(got, np.concatenate([r[key] for r in self.rows])), key
+        assert np.array_equal(t, [r["t"] for r in self.rows])
+
+
+def test_row_steps_equal_per_tensor_steps_bit_for_bit():
+    case = RowCase(np.random.default_rng(11), n=7, k=5)
+    case.steps(15)
+    # rows outside a step's set kept their counts, so the counts now differ
+    assert len({r["t"] for r in case.rows}) > 2
+
+
+def test_reindex_appends_and_drops_rows():
+    rng = np.random.default_rng(12)
+    case = RowCase(rng, n=5, k=3)
+    case.steps(6)
+    new = rng.uniform(-0.01, 0.01, (3, 3))
+    case.p.data = np.concatenate([case.p.data, new])
+    case.opt.reindex(slice(None), 3)
+    case.rows += [fresh_row(new[j : j + 1]) for j in range(3)]
+    case.check()
+    case.steps(6)
+    keep = np.array([0, 2, 5, 6, 7])
+    case.p.data = case.p.data[keep]
+    case.opt.reindex(keep)
+    case.rows = [case.rows[i] for i in keep]
+    case.check()
+    case.steps(6)
+
+
+def test_rows_outside_the_step_are_untouched():
+    p = make_param(np.ones((4, 2)))
     opt = Adam([p], lr=0.1)
-    opt.add_param(q)
-    opt.drop_param(p)
-    opt.step({p: np.array([1.0]), q: np.array([1.0])})
-    assert p.data[0] == 0.0
-    assert q.data[0] != 0.0
+    opt.step({p: np.ones((4, 2))}, np.array([1, 3]))
+    [(m, v, t)] = opt.state_arrays()
+    assert np.array_equal(t, [0, 1, 0, 1])
+    assert np.array_equal(p.data[[0, 2]], np.ones((2, 2)))
+    assert np.all(m[[0, 2]] == 0.0) and np.all(v[[0, 2]] == 0.0)
+    assert np.all(p.data[[1, 3]] < 1.0)
 
 
 def test_state_round_trip_bit_identical():

@@ -75,7 +75,7 @@ def test_loss_reconstruction_shape_mismatch():
 
 
 def test_loss_volume_all_ones():
-    alphas = [Tensor(np.ones((1, 7)), param=True) for _ in range(5)]
+    alphas = Tensor(np.ones((5, 7)), param=True)
     out = loss_volume(Tape(), alphas, np.arange(5))
     assert float(out.data) == 5.0
 
@@ -83,22 +83,21 @@ def test_loss_volume_all_ones():
 def test_loss_volume_zero_entry_annihilates():
     row = np.ones((1, 6))
     row[0, 3] = 0.0
-    out = loss_volume(Tape(), [Tensor(row, param=True)], np.array([0]))
+    out = loss_volume(Tape(), Tensor(row, param=True), np.array([0]))
     assert float(out.data) == 0.0
 
 
 def test_loss_volume_matches_direct_products():
     rng = np.random.default_rng(3)
     block = rng.standard_normal((5, 8))
-    alphas = [Tensor(block[i : i + 1], param=True) for i in range(5)]
-    out = loss_volume(Tape(), alphas, np.arange(5))
+    out = loss_volume(Tape(), Tensor(block, param=True), np.arange(5))
     want = sum(np.prod(np.abs(block[i])) for i in range(5))
     assert abs(float(out.data) - want) < 1e-12
 
 
 def test_loss_volume_empty_active_set_rejected():
     with pytest.raises(ContractViolation):
-        loss_volume(Tape(), [Tensor(np.ones((1, 2)), param=True)], np.array([], dtype=int))
+        loss_volume(Tape(), Tensor(np.ones((1, 2)), param=True), np.array([], dtype=int))
 
 
 def test_total_loss_endpoints_and_midpoint():
@@ -131,13 +130,9 @@ def test_binauralizer_loss_alpha_gradient_on_five_point_scene():
     gt = Tensor(rng.uniform(0, 1, (257, 8)))
     pose = Pose.from_yaw([2.5, 1.0, 1.0], 0.4)
     source = np.array([1.0, 2.5, 1.5])
-    selectors = [np.zeros((1, 5)) for _ in range(5)]
-    for i, sel in enumerate(selectors):
-        sel[0, i] = 1.0
 
     def loss(tape, alpha_block):
-        rows = [ad.matmul(tape, Tensor(sel), alpha_block) for sel in selectors]
-        ctx = pooled_context(tape, field, positions, rows, pose, source, 100.0)
+        ctx = pooled_context(tape, field, positions, alpha_block, pose, source, 100.0)
         mixture, difference = masknet.mask_tensors(tape, np.array([0.4, 0.3]), 0.4, ctx, 257)
         pred_l = ad.scale(tape, ad.add(tape, ad.mul(tape, mixture, mono_mag),
                                        ad.mul(tape, difference, mono_mag)), 0.5)
@@ -168,9 +163,9 @@ def test_theta_is_running_mean():
 def test_stats_extend_and_keep():
     stats = GradStats(3)
     stats.update(np.array([0, 2]), np.array([1.0, 3.0]))
-    stats.extend(2)
+    stats.reindex(slice(None), 2)
     assert stats.grad_sum.shape == (5,)
-    stats.keep(np.array([2, 3, 4]))
+    stats.reindex(np.array([2, 3, 4]))
     assert stats.grad_sum[0] == 3.0
     assert stats.counts[0] == 1
 
@@ -211,7 +206,7 @@ def test_densified_alpha_in_init_range(small_dataset):
     trainer.stats.counts[:] = 1
     trainer.stats.grad_sum[0] = 1.0
     trainer.densify()
-    new_alpha = trainer.model.alphas[-1].data
+    new_alpha = trainer.model.alphas.data[-1]
     assert np.all(np.abs(new_alpha) <= 0.01)
 
 
@@ -240,12 +235,39 @@ def test_points_outside_vicinity_get_no_gradient(small_dataset):
     pred_m = ad.mul(tape, mixture, sample.mono_mag)
     loss = ad.mse(tape, pred_m, sample.gt_m)
     grads = tape.backward(loss)
-    inside = set(np.union1d(ctx.listener_indices, ctx.source_indices).tolist())
-    for i, alpha in enumerate(model.alphas):
-        if i in inside:
-            assert alpha in grads
-        else:
-            assert alpha not in grads
+    active = np.union1d(ctx.listener_indices, ctx.source_indices)
+    outside = np.setdiff1d(np.arange(model.point_count), active)
+    assert outside.size > 0
+    g = grads[model.alphas]
+    assert np.all(g[outside] == 0.0)
+    assert np.all(np.any(g[active] != 0.0, axis=1))
+    before = model.alphas.data.copy()
+    trainer.opt_alpha.step(grads, active)
+    [(m, v, t)] = trainer.opt_alpha.state_arrays()
+    assert np.array_equal(model.alphas.data[outside], before[outside])
+    assert np.all(m[outside] == 0.0) and np.all(v[outside] == 0.0)
+    assert np.all(t[outside] == 0) and np.all(t[active] == 1)
+
+
+def test_gradient_statistics_are_per_point_gradient_norms(small_dataset, monkeypatch):
+    trainer = make_trainer(small_dataset)
+    captured = {}
+    backward = Tape.backward
+
+    def spy(tape, output):
+        captured.update(backward(tape, output))
+        return captured
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    trainer.train_step(trainer._train_cache[0])
+    g = captured[trainer.model.alphas]
+    # the per-row loop is the reference; the vectorised norm sums in another order
+    want = np.array([np.linalg.norm(row) for row in g])
+    reached = trainer.stats.counts == 1
+    assert np.all(trainer.stats.counts[~reached] == 0)
+    assert np.allclose(trainer.stats.grad_sum[reached], want[reached],
+                       rtol=8 * np.finfo(np.float64).eps, atol=0.0)
+    assert np.all(trainer.stats.grad_sum[~reached] == 0.0)
 
 
 def test_identical_seeds_give_identical_traces(small_dataset):
@@ -269,7 +291,7 @@ def test_pure_regularizer_run_shrinks_alpha(small_dataset):
     means = []
     for _ in range(200):
         trainer.train_step()
-        means.append(float(np.mean(np.abs(model.alpha_matrix()))))
+        means.append(float(np.mean(np.abs(model.alphas.data))))
     windows = [np.mean(means[i : i + 20]) for i in range(0, 200, 20)]
     assert all(windows[i] > windows[i + 1] for i in range(len(windows) - 1))
 
@@ -336,6 +358,44 @@ def test_resume_reproduces_next_eval(small_dataset, tmp_path):
     want = [r for r in full_result.eval_records if r["iteration"] == 40][0]
     got = [r for r in resumed_result.eval_records if r["iteration"] == 40][0]
     assert want == got
+
+
+def test_train_state_layout_is_pinned(small_dataset, tmp_path):
+    """The keys, dtypes and shapes of train_state.npz stay those of the
+    per-point-tensor layout, so checkpoints written by it still resume."""
+    trainer = make_trainer(small_dataset, seed=6)
+    for _ in range(3):
+        trainer.train_step()
+    trainer.stats.counts[:] = 1
+    trainer.stats.grad_sum[:] = 0.0
+    trainer.stats.grad_sum[:2] = 1.0
+    assert trainer.densify() == 2
+    trainer.train_step()
+    trainer._save_checkpoint(str(tmp_path / "ckpt"))
+    n, k = trainer.model.alphas.shape
+    nets = trainer.model.network_params()
+    want = {
+        "iteration": (np.int64, ()),
+        "best_value": (np.float64, ()),
+        "grad_sum": (np.float64, (n,)),
+        "grad_counts": (np.int64, (n,)),
+        "alpha_m": (np.float64, (n, k)),
+        "alpha_v": (np.float64, (n, k)),
+        "alpha_t": (np.int64, (n,)),
+        "net_t": (np.int64, (len(nets),)),
+    }
+    for i, p in enumerate(nets):
+        want[f"net_m_{i}"] = want[f"net_v_{i}"] = (np.float64, p.shape)
+    with np.load(tmp_path / "ckpt" / "train_state.npz") as data:
+        assert set(data.files) == set(want) | {"rng_state"}
+        assert data["rng_state"].dtype.kind == "U" and data["rng_state"].shape == ()
+        for key, (dtype, shape) in want.items():
+            assert data[key].dtype == dtype and data[key].shape == shape, key
+        assert np.all(data["net_t"] == 4)
+        # per-row counts: the densified rows started at zero a step ago
+        assert data["alpha_t"][n - 2:].max() <= 1 < data["alpha_t"].max()
+    resumed = Trainer.resume(str(tmp_path / "ckpt"), small_dataset, trainer.config)
+    assert resumed.train_step() == trainer.train_step()
 
 
 # --- codec baselines ---
