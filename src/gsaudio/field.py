@@ -108,13 +108,13 @@ class SceneContext:
 
 
 def pooled_context(tape, net: FieldNetwork, positions, alphas, listener: Pose, source_position,
-                   percentile, tree=None) -> SceneContext:
+                   percentile) -> SceneContext:
     """Mean per-point context over the source vicinity and the listener
     vicinity, concatenated source-first. ``alphas`` is the (N, K) parameter
     tensor whose row i is the audio guidance of point i."""
     listener_pos = listener.position
-    s_idx = vicinity(positions, source_position, percentile, tree=tree)
-    l_idx = vicinity(positions, listener_pos, percentile, tree=tree)
+    s_idx = vicinity(positions, source_position, percentile)
+    l_idx = vicinity(positions, listener_pos, percentile)
 
     def anchor_mean(indices, anchor):
         if indices.size == 0:

@@ -1,16 +1,17 @@
-"""Median-split k-d tree for exact k-nearest-neighbor and radius-count
-queries over small point clouds.
+"""Exact nearest-neighbour selection and radius counts over point clouds.
 
-Ties are broken by lower point index, matching the brute-force reference
-selection bit for bit: both paths compute the same squared distances and
-order candidates lexicographically by (distance^2, index). query_knn falls
-back to the brute-force selection when k is a large fraction of N, where
-tree pruning cannot win; results are identical either way.
+k-NN is one numpy selection: squared distances, ``np.partition`` for the
+k-th smallest, then every strictly closer point plus the lowest-indexed
+points at exactly that distance. It returns the same indices as the lexsort
+reference ``brute_force_knn`` bit for bit, because both compute the same
+squared distances and order candidates by (distance^2, index).
+
+The median-split ``KDTree`` serves radius counts (outlier pruning).
+``KDTree.query_knn`` is a thin wrapper over the selection, kept only while
+the benchmark still traces it.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -24,6 +25,16 @@ def brute_force_knn(points, center, k):
     d2 = ((points - center) ** 2).sum(axis=1)
     order = np.lexsort((np.arange(len(points)), d2))
     return np.sort(order[:k])
+
+
+def knn(points, center, k):
+    """Indices (ascending) of the k nearest points, ties broken by lower
+    index: the set ``brute_force_knn`` returns, in O(N) instead of a sort."""
+    d2 = ((points - center) ** 2).sum(axis=1)
+    kth = np.partition(d2, k - 1)[k - 1]
+    closer = np.flatnonzero(d2 < kth)
+    ties = np.flatnonzero(d2 == kth)[:k - closer.size]
+    return np.sort(np.concatenate([closer, ties]))
 
 
 def brute_force_count_within(points, center, radius):
@@ -69,33 +80,7 @@ class KDTree:
         n = self.points.shape[0]
         if not 1 <= k <= n:
             raise ContractViolation(f"k={k} out of range for {n} points")
-        if 4 * k >= n:
-            return brute_force_knn(self.points, center, k)
-        # bounded max-heap keyed lexicographically by (d2, index); Python's
-        # min-heap holds negated keys so the worst candidate sits on top
-        heap = []
-        # depth-first, near side first; a far side carries its squared
-        # distance bound and is tested when popped, after the near subtree
-        stack = [(self._root, 0.0)]
-        while stack:
-            node, bound = stack.pop()
-            if len(heap) == k and bound > -heap[0][0]:
-                continue
-            if node.indices is not None:
-                pts = self.points[node.indices]
-                d2 = ((pts - center) ** 2).sum(axis=1)
-                for dist, idx in zip(d2, node.indices):
-                    key = (-dist, -int(idx))
-                    if len(heap) < k:
-                        heapq.heappush(heap, key)
-                    elif key > heap[0]:
-                        heapq.heapreplace(heap, key)
-                continue
-            diff = center[node.axis] - node.split
-            near, far = (node.left, node.right) if diff <= 0 else (node.right, node.left)
-            stack.append((far, diff * diff))
-            stack.append((near, 0.0))
-        return np.sort(np.array([-i for _, i in heap], dtype=np.int64))
+        return knn(self.points, center, k)
 
     def count_within(self, center, radius):
         """Number of points with distance strictly below ``radius``."""

@@ -17,9 +17,7 @@ from .binauralizer import (AcousticMasks, MaskNetwork, binauralize, normalize_po
 from .dsp import ImpulseResponse, Waveform
 from .errors import ConfigError
 from .field import FieldNetwork, SceneContext, pooled_context
-from .kdtree import KDTree
-from .scene import (AudioPointSet, BRUTE_FORCE_LIMIT, Pose, load_audio_points,
-                    save_audio_points)
+from .scene import AudioPointSet, Pose, load_audio_points, save_audio_points
 
 CONFIG_NAME = "config.json"
 POINTS_NAME = "points.ply"
@@ -50,7 +48,6 @@ class SceneModel:
         self.hop = int(hop)
         self.sample_rate = int(sample_rate)
         self.seed = seed
-        self._tree = None
 
     # --- point bookkeeping ---
 
@@ -65,33 +62,21 @@ class SceneModel:
     def point_set(self) -> AudioPointSet:
         return AudioPointSet(positions=self.positions.copy(), alpha=self.alphas.data.copy())
 
-    def spatial_index(self):
-        if self.point_count < BRUTE_FORCE_LIMIT:
-            return None
-        if self._tree is None:
-            self._tree = KDTree(self.positions)
-        return self._tree
-
-    def invalidate_index(self):
-        self._tree = None
-
     def add_points(self, positions, alphas):
         """Append points (M, 3) with their alpha rows (M, K). Both re-indexes
         keep the alpha tensor itself, so an optimizer holding it follows."""
         self.positions = np.concatenate([self.positions, positions], axis=0)
         self.alphas.data = np.concatenate([self.alphas.data, alphas], axis=0)
-        self.invalidate_index()
 
     def keep_points(self, keep_indices):
         self.positions = self.positions[keep_indices]
         self.alphas.data = self.alphas.data[keep_indices]
-        self.invalidate_index()
 
     # --- forward paths ---
 
     def context(self, tape, listener) -> SceneContext:
         return pooled_context(tape, self.field, self.positions, self.alphas, listener,
-                              self.source, self.percentile, tree=self.spatial_index())
+                              self.source, self.percentile)
 
     def mask_tensors(self, tape, pose: Pose, context=None):
         ctx = self.context(tape, pose) if context is None else context
@@ -126,7 +111,9 @@ class SceneModel:
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
-        save_audio_points(os.path.join(directory, POINTS_NAME), self.point_set())
+        # the live arrays, not point_set()'s copies: the writer only reads them
+        save_audio_points(os.path.join(directory, POINTS_NAME),
+                          AudioPointSet(positions=self.positions, alpha=self.alphas.data))
         self.field.save(os.path.join(directory, FIELD_NAME))
         self.masknet.save(os.path.join(directory, BINAURALIZER_NAME))
         config = {

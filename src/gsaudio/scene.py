@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DataError, GeometryError, SchemaError
-from .kdtree import KDTree, brute_force_count_within, brute_force_knn
+from .kdtree import KDTree, brute_force_count_within, knn
 
 SH_WIDTH = 48
 ALPHA_PART_ORDER = ("S", "SH", "R", "O")
@@ -177,13 +177,12 @@ def alpha_width(selection):
     return sum(ALPHA_PART_WIDTH[k] for k in selection)
 
 
-def vicinity(positions, center, percentile, tree: KDTree | None = None):
+def vicinity(positions, center, percentile):
     """Indices (ascending) of the nearest ceil(percentile% * N) of the (N, 3)
     ``positions``.
 
-    Ties break toward the lower index; the result matches the brute-force
-    selection exactly. Pass a prebuilt ``tree`` to amortize queries between
-    point-set updates.
+    An exact selection (``kdtree.knn``): ties break toward the lower index,
+    so the result equals ``kdtree.brute_force_knn``.
     """
     if not 0.0 < percentile <= 100.0:
         raise ConfigError(f"percentile must be in (0, 100], got {percentile}")
@@ -192,11 +191,7 @@ def vicinity(positions, center, percentile, tree: KDTree | None = None):
         raise ContractViolation("vicinity needs at least one point")
     center = np.asarray(center, dtype=np.float64).reshape(3)
     k = int(math.ceil(percentile / 100.0 * n))
-    if tree is None and n < BRUTE_FORCE_LIMIT:
-        return brute_force_knn(positions, center, k)
-    if tree is None:
-        tree = KDTree(positions)
-    return tree.query_knn(center, k)
+    return knn(positions, center, k)
 
 
 def prune_outliers(points: AudioPointSet, min_neighbors=8, radius=0.1):
@@ -268,11 +263,11 @@ def _write_ply(path, names, columns):
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {count}"]
     header += [f"property double {name}" for name in names]
     header.append("end_header")
-    body = np.column_stack(columns).astype("<f8").tobytes()
+    block = np.column_stack(columns).astype("<f8", copy=False)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(body)
+        fh.write(block.data)
     os.replace(tmp, path)
 
 
@@ -309,8 +304,7 @@ def _read_ply(path):
     if count is None:
         raise DataError(f"{path}: no vertex element")
     dtype = np.dtype([(name, code) for name, code in props])
-    body = raw[end + len(b"end_header\n"):]
-    rows = np.frombuffer(body, dtype=dtype, count=count)
+    rows = np.frombuffer(raw, dtype=dtype, count=count, offset=end + len(b"end_header\n"))
     return {name: rows[name].astype(np.float64) for name, _ in props}
 
 

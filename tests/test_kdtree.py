@@ -27,7 +27,7 @@ def test_knn_tie_break_on_duplicates():
     assert np.array_equal(got, [0, 1, 4])
 
 
-def test_knn_small_k_forces_tree_path():
+def test_knn_small_k_matches_brute_force():
     rng = np.random.default_rng(42)
     pts = rng.standard_normal((1000, 3))
     tree = KDTree(pts, leaf_size=16)

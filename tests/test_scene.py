@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gsaudio.errors import ConfigError, ContractViolation, DataError, SchemaError
+from gsaudio.kdtree import brute_force_knn
 from gsaudio.scene import (AudioPointSet, Pose, alpha_width,
                            covariance_from_gaussian, init_audio_points,
                            load_audio_points, load_gaussian_cloud, project_covariance,
@@ -218,6 +221,24 @@ def test_vicinity_permutation_invariant():
     assert np.array_equal(np.sort(perm[idx]), base)  # same point set
 
 
+@pytest.mark.parametrize("n", [300, 4096])
+def test_vicinity_exact_on_tied_distances(n):
+    # positions on a 0.25 grid: squared distances to a grid centre are exact,
+    # so many points share each distance and the k-th often sits in a tie
+    rng = np.random.default_rng(n)
+    positions = rng.integers(0, 6, (n, 3)) * 0.25
+    center = np.array([0.5, 0.75, 0.5])
+    d2 = np.sort(((positions - center) ** 2).sum(axis=1))
+    inside_tie = np.flatnonzero((d2[1:-1] == d2[:-2]) & (d2[1:-1] == d2[2:])) + 2
+    assert inside_tie.size > 0
+    ks = [1, n] + list(inside_tie[:: max(1, inside_tie.size // 8)])
+    for k in ks:
+        # the midpoint percentile of k, so ceil(percentile% * n) == k
+        got = vicinity(positions, center, 100.0 * (k - 0.5) / n)
+        assert len(got) == k
+        assert np.array_equal(got, brute_force_knn(positions, center, k))
+
+
 def test_vicinity_bad_percentile_rejected():
     for p in (0, -5, 101):
         with pytest.raises(ConfigError):
@@ -292,3 +313,27 @@ def test_pose_from_yaw():
 def test_zero_direction_rejected():
     with pytest.raises(ContractViolation):
         Pose(position=np.zeros(3), direction=np.zeros(3))
+
+
+def test_audio_point_io_memory_is_bounded(tmp_path):
+    # transient peaks against the (N, 3 + K) float64 block the file holds:
+    # save builds the block once; load holds the file bytes, then the
+    # columns, then the returned set
+    n, k = 20000, 52
+    rng = np.random.default_rng(12)
+    pts = AudioPointSet(positions=rng.uniform(0, 5, (n, 3)), alpha=rng.standard_normal((n, k)))
+    block = n * (3 + k) * 8
+    path = tmp_path / "points.ply"
+    tracemalloc.start()
+    try:
+        save_audio_points(path, pts)
+        base, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = load_audio_points(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 1.5 * block
+    assert load_peak - base < 2.5 * block
+    assert np.array_equal(back.positions, pts.positions)
+    assert np.array_equal(back.alpha, pts.alpha)

@@ -6,6 +6,7 @@ from gsaudio.autodiff import Tape, Tensor
 from gsaudio.cli import build_model, load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.errors import ConfigError, ContractViolation
+from gsaudio.kdtree import KDTree
 from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.training import (GradStats, TrainConfig, Trainer, codec_baselines,
                               loss_reconstruction, loss_volume, mixture_magnitude,
@@ -268,6 +269,22 @@ def test_gradient_statistics_are_per_point_gradient_norms(small_dataset, monkeyp
     assert np.allclose(trainer.stats.grad_sum[reached], want[reached],
                        rtol=8 * np.finfo(np.float64).eps, atol=0.0)
     assert np.all(trainer.stats.grad_sum[~reached] == 0.0)
+
+
+def test_render_and_train_step_build_no_kd_tree(small_dataset, monkeypatch):
+    # 512 points: above scene.BRUTE_FORCE_LIMIT, the size from which a tree pays
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a k-d tree was built")
+
+    monkeypatch.setattr(KDTree, "__init__", refuse)
+    cfg = load_run_config(None, {"seed": 3, "init_points": 512})
+    model = build_model(small_dataset, cfg)
+    sample = small_dataset.samples("val")[0]
+    left, right = model.render(sample.pose, sample.mono)
+    assert np.all(np.isfinite(left.samples)) and np.all(np.isfinite(right.samples))
+    tcfg = train_config_from(cfg, iterations=1, seed=3)
+    tcfg.densify_interval = 0
+    assert np.isfinite(Trainer(model, small_dataset, tcfg).train_step())
 
 
 def test_identical_seeds_give_identical_traces(small_dataset):
