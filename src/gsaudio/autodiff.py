@@ -3,9 +3,11 @@
 A Tape records every primitive applied to tracked tensors, in execution
 order. Gradients come from walking that record backwards once, so the
 accumulation order is fixed and repeat runs are bit-identical. The primitive
-set is small on purpose: matrix multiply, broadcast arithmetic, relu and
-sigmoid, concatenation, row gathering, reductions, and a row-wise product
-used by the volume regularizer.
+set is small on purpose: matrix multiply, the fused dense layer ``dense``
+(matmul, bias and optional relu as one entry, so a layer makes one output
+array and one finite scan), broadcast arithmetic, relu and sigmoid,
+concatenation, row gathering, ``broadcast_rows`` (one row repeated n times),
+reductions, and a row-wise product used by the volume regularizer.
 
 Ops are module-level functions taking the tape as first argument; pass
 ``tape=None`` for a forward-only evaluation (inference reuses the exact same
@@ -126,6 +128,42 @@ def matmul(tape, a, b):
         return g @ bd.T, ad.T @ g
 
     return _record(tape, "matmul", (a, b), ad @ bd, bwd)
+
+
+def dense(tape, x, w, b, relu=False):
+    """``relu(x @ w + b)`` (or ``x @ w + b``) as one tape entry.
+
+    The bias add and the relu run in place on the matmul's output, and the
+    backward pass uses the expressions of ``relu``, ``add`` and ``matmul``,
+    so values and gradients carry the bits of that three-op composition.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ContractViolation(f"dense shapes {x.shape} x {w.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        if relu:
+            g = g * (out > 0.0)
+        return g @ wd.T, xd.T @ g, _unbroadcast(g, b.data.shape)
+
+    return _record(tape, "dense", (x, w, b), out, bwd)
+
+
+def broadcast_rows(tape, a, n):
+    """A (1, C) tensor repeated as ``n`` rows."""
+    a = _wrap(a)
+    if a.data.ndim != 2 or a.shape[0] != 1:
+        raise ContractViolation(f"broadcast_rows expects a (1, C) tensor, got shape {a.shape}")
+
+    def bwd(g):
+        return (g.sum(axis=0, keepdims=True),)
+
+    return _record(tape, "broadcast_rows", (a,), np.repeat(a.data, n, axis=0), bwd)
 
 
 def add(tape, a, b):

@@ -149,25 +149,21 @@ class MaskNetwork:
         layers += [self.m1, self.m2, self.m3, self.m4]
         return [t for pair in layers for t in pair]
 
-    @staticmethod
-    def _dense(tape, layer, x):
-        w, b = layer
-        return ad.add(tape, ad.matmul(tape, x, w), b)
-
-    def _backbone(self, tape, layers, x):
+    def _backbone(self, tape, layers, x, relu=False):
         """Four dense layers, relu activations, skip from layer 1's output to
-        layer 3's pre-activation. Returns the last pre-activation."""
+        layer 3's pre-activation. Returns the last layer's output, through
+        a relu when ``relu``."""
         l1, l2, l3, l4 = layers
-        h1 = ad.relu(tape, self._dense(tape, l1, x))
-        h2 = ad.relu(tape, self._dense(tape, l2, h1))
-        h3 = ad.relu(tape, ad.add(tape, self._dense(tape, l3, h2), h1))
-        return self._dense(tape, l4, h3)
+        h1 = ad.dense(tape, x, *l1, relu=True)
+        h2 = ad.dense(tape, h1, *l2, relu=True)
+        h3 = ad.relu(tape, ad.add(tape, ad.dense(tape, h2, *l3), h1))
+        return ad.dense(tape, h3, *l4, relu=relu)
 
     def features(self, tape, x):
         """MLP-1 feature rows (relu-activated)."""
         if x.data.shape[1] != self.in1:
             raise ContractViolation(f"mlp1 input width {x.data.shape[1]}, expected {self.in1}")
-        return ad.relu(tape, self._backbone(tape, (self.l1, self.l2, self.l3, self.l4), x))
+        return self._backbone(tape, (self.l1, self.l2, self.l3, self.l4), x, relu=True)
 
     def _head(self, tape, x):
         """MLP-2 terminal: sigmoid scaled to (-1, 1)."""
@@ -191,10 +187,10 @@ class MaskNetwork:
         f_norm = np.arange(n_bins) / max(n_bins - 1, 1)
         enc_xy = np.tile(positional_encoding(xy01, self.levels), (n_bins, 1))
         enc_f = positional_encoding(f_norm[:, None], self.levels)
-        ctx_rows = ad.add(tape, Tensor(np.zeros((n_bins, self.context_dim))), ctx)
+        ctx_rows = ad.broadcast_rows(tape, ctx, n_bins)
         x1 = ad.concat(tape, [Tensor(enc_xy), Tensor(enc_f), ctx_rows], axis=1)
         feats = self.features(tape, x1)
-        mixture = ad.scale(tape, ad.sigmoid(tape, self._dense(tape, self.mix_proj, feats)), 2.0)
+        mixture = ad.scale(tape, ad.sigmoid(tape, ad.dense(tape, feats, *self.mix_proj)), 2.0)
         enc_dir = np.tile(_encode_direction(theta, self.levels), (n_bins, 1))
         x2 = ad.concat(tape, [feats, Tensor(enc_dir)], axis=1)
         difference = self._head(tape, x2)
@@ -211,7 +207,7 @@ class MaskNetwork:
         feats = self.features(tape, x1)  # (1, width)
         t = np.asarray(times01, dtype=np.float64).reshape(-1, 1)
         n = t.shape[0]
-        feat_rows = ad.add(tape, Tensor(np.zeros((n, self.width))), feats)
+        feat_rows = ad.broadcast_rows(tape, feats, n)
         enc_dir = np.tile(_encode_direction(theta, self.levels), (n, 1))
         enc_t = positional_encoding(t, self.levels)
         x2 = ad.concat(tape, [feat_rows, Tensor(enc_dir), Tensor(enc_t)], axis=1)

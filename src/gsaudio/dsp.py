@@ -4,6 +4,12 @@ STFT frames are centered (half a window of zero padding on each side) with a
 periodic Hann window, so a unit impulse at sample 0 lands on the window peak
 and the overlap-add inverse divides by the exact per-sample window-square
 sum. Default parameters: 22050 Hz, window 512, hop 128.
+
+Neither transform loops over frames. ``stft`` frames by a strided view;
+``istft`` overlap-adds by hop-sized blocks, adding block j of every frame in
+one operation. Output block i receives block j of frame i - j, so going from
+the last block of a frame to the first sums each sample's frames in
+ascending frame order: the order, and so the bits, of a per-frame loop.
 """
 
 from __future__ import annotations
@@ -101,8 +107,7 @@ def stft(wave: Waveform, window=WINDOW, hop=HOP) -> Spectrogram:
     padded_len = (n_frames - 1) * hop + window
     padded = np.zeros(padded_len)
     padded[half : half + x.size] = x
-    offsets = np.arange(n_frames) * hop
-    frames = padded[offsets[:, None] + np.arange(window)[None, :]]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, window)[::hop]
     spec = np.fft.rfft(frames * hann(window)[None, :], axis=1)
     return Spectrogram(bins=spec.T.copy(), window=window, hop=hop, sample_rate=wave.sample_rate)
 
@@ -113,14 +118,18 @@ def istft(spec: Spectrogram, length=None) -> Waveform:
     win = hann(window)
     frames = np.fft.irfft(spec.bins.T, n=window, axis=1) * win[None, :]
     n_frames = frames.shape[0]
+    per_frame = window // hop
     padded_len = (n_frames - 1) * hop + window
     out = np.zeros(padded_len)
     weight = np.zeros(padded_len)
-    win_sq = win * win
-    for m in range(n_frames):
-        sl = slice(m * hop, m * hop + window)
-        out[sl] += frames[m]
-        weight[sl] += win_sq
+    # last block first, so each sample sums its frames in ascending order
+    out_blocks = out.reshape(-1, hop)
+    weight_blocks = weight.reshape(-1, hop)
+    frame_blocks = frames.reshape(n_frames, per_frame, hop)
+    win_sq = (win * win).reshape(per_frame, hop)
+    for j in range(per_frame - 1, -1, -1):
+        out_blocks[j : j + n_frames] += frame_blocks[:, j]
+        weight_blocks[j : j + n_frames] += win_sq[j]
     covered = weight > 1e-12
     out[covered] /= weight[covered]
     half = window // 2

@@ -65,8 +65,8 @@ class FieldNetwork:
             raise ContractViolation(
                 f"field input width {x.data.shape[1]}, expected {self.alpha_dim + GUIDANCE_DIM}"
             )
-        h = ad.relu(tape, ad.add(tape, ad.matmul(tape, x, self.w1), self.b1))
-        return ad.add(tape, ad.matmul(tape, h, self.w2), self.b2)
+        h = ad.dense(tape, x, self.w1, self.b1, relu=True)
+        return ad.dense(tape, h, self.w2, self.b2)
 
     def save(self, path):
         header = {

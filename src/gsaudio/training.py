@@ -25,7 +25,7 @@ from .irmetrics import rir_metrics
 from .model import SceneModel
 from .optim import Adam, reindex_rows
 from .roomsim import ear_positions
-from .scene import Pose, prune_outliers
+from .scene import AudioPointSet, Pose, prune_outliers
 from .training_state import load_train_state, save_train_state
 
 log = logging.getLogger("gsaudio.training")
@@ -293,14 +293,15 @@ class Trainer:
 
     def prune(self):
         """Drop isolated points; optimizer state and statistics follow."""
+        # the live arrays, not point_set()'s copies: pruning only reads them
+        points = AudioPointSet(positions=self.model.positions, alpha=self.model.alphas.data)
         try:
-            retained, removed = prune_outliers(self.model.point_set(),
-                                               self.config.prune_min_neighbors,
-                                               self.config.prune_radius)
+            _, removed = prune_outliers(points, self.config.prune_min_neighbors,
+                                        self.config.prune_radius)
         except ContractViolation:
             log.warning("every point is an outlier; skipping this pruning pass")
             return 0
-        if removed.size == 0 or len(retained) == 0:
+        if removed.size == 0:
             return 0
         keep = np.setdiff1d(np.arange(self.model.point_count), removed, assume_unique=True)
         self.model.keep_points(keep)

@@ -116,6 +116,75 @@ def test_gather_rows_forward_and_len():
     assert len(out) == 3
 
 
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("wrt", ["x", "w", "b"])
+def test_dense_matches_finite_differences(relu, rows, wrt):
+    rng = np.random.default_rng(rows * 10 + relu)
+    inputs = {"x": rng.standard_normal((rows, 5)),
+              "w": rng.standard_normal((5, 6)),
+              "b": rng.standard_normal(6)}
+    # the pre-activations straddle zero but keep clear of the relu kink, so
+    # the central difference never crosses it
+    pre_act = inputs["x"] @ inputs["w"] + inputs["b"]
+    assert np.abs(pre_act).min() > 1e-3
+    assert (pre_act > 0).any() and (pre_act < 0).any()
+    fixed = {k: Tensor(v) for k, v in inputs.items() if k != wrt}
+    head = Tensor(rng.standard_normal((6, 1)))
+
+    def f(tape, v):
+        args = dict(fixed, **{wrt: v})
+        out = ad.dense(tape, args["x"], args["w"], args["b"], relu=relu)
+        return ad.total(tape, ad.sigmoid(tape, ad.matmul(tape, out, head)))
+
+    err = finite_difference_check(f, inputs[wrt], step=1e-6)
+    assert err < 1e-6, err
+
+
+def test_dense_one_entry_equals_three_op_composition():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((9, 4)), param=True)
+    w = Tensor(rng.standard_normal((4, 3)), param=True)
+    b = Tensor(rng.standard_normal(3), param=True)
+    for relu in (False, True):
+        fused_tape, plain_tape = Tape(), Tape()
+        fused = ad.dense(fused_tape, x, w, b, relu=relu)
+        plain = ad.add(plain_tape, ad.matmul(plain_tape, x, w), b)
+        if relu:
+            plain = ad.relu(plain_tape, plain)
+        assert len(fused_tape.entries) == 1
+        assert fused.data.tobytes() == plain.data.tobytes()
+        fused_grads = fused_tape.backward(ad.total(fused_tape, ad.square(fused_tape, fused)))
+        plain_grads = plain_tape.backward(ad.total(plain_tape, ad.square(plain_tape, plain)))
+        for t in (x, w, b):
+            assert fused_grads[t].tobytes() == plain_grads[t].tobytes()
+
+
+def test_dense_rejects_width_mismatch():
+    x = Tensor(np.ones((2, 4)))
+    b = Tensor(np.zeros(3))
+    with pytest.raises(ContractViolation):
+        ad.dense(None, x, Tensor(np.ones((5, 3))), b)
+    with pytest.raises(ContractViolation):
+        ad.dense(None, Tensor(np.ones(4)), Tensor(np.ones((4, 3))), b)
+
+
+def test_broadcast_rows_matches_finite_differences():
+    rng = np.random.default_rng(13)
+    weights = Tensor(rng.standard_normal((6, 4)))
+
+    def f(tape, x):
+        rows = ad.broadcast_rows(tape, x, 6)
+        return ad.total(tape, ad.sigmoid(tape, ad.mul(tape, rows, weights)))
+
+    err = finite_difference_check(f, rng.standard_normal((1, 4)), step=1e-6)
+    assert err < 1e-7
+    out = ad.broadcast_rows(None, Tensor(np.arange(3.0)[None, :]), 4)
+    assert np.array_equal(out.data, np.tile(np.arange(3.0), (4, 1)))
+    with pytest.raises(ContractViolation):
+        ad.broadcast_rows(None, Tensor(np.ones((2, 3))), 4)
+
+
 def test_broadcast_add_gradient():
     rng = np.random.default_rng(1)
     rows = Tensor(rng.standard_normal((6, 4)))

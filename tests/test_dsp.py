@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gsaudio.dsp import (Waveform, env_distance, envelope, hann, istft,
-                         mag_distance, stft)
+from gsaudio.dsp import (Spectrogram, Waveform, env_distance, envelope, hann,
+                         istft, mag_distance, stft)
 from gsaudio.errors import ConfigError, ContractViolation
 
 
@@ -47,6 +47,51 @@ def test_round_trip(signal):
     back = istft(stft(w), length=len(w))
     rms = np.sqrt(np.mean((back.samples - x) ** 2))
     assert rms < 1e-6
+
+
+def reference_stft_bins(x, window, hop):
+    """Framing by a fancy-index gather, one row of indices per frame."""
+    n_frames = int(np.ceil(x.size / hop)) + 1
+    padded = np.zeros((n_frames - 1) * hop + window)
+    padded[window // 2 : window // 2 + x.size] = x
+    offsets = np.arange(n_frames) * hop
+    frames = padded[offsets[:, None] + np.arange(window)[None, :]]
+    return np.fft.rfft(frames * hann(window)[None, :], axis=1).T.copy()
+
+
+def reference_istft(bins, window, hop, length):
+    """Overlap-add by a per-frame loop, in ascending frame order."""
+    win = hann(window)
+    frames = np.fft.irfft(bins.T, n=window, axis=1) * win[None, :]
+    padded_len = (frames.shape[0] - 1) * hop + window
+    out = np.zeros(padded_len)
+    weight = np.zeros(padded_len)
+    for m in range(frames.shape[0]):
+        out[m * hop : m * hop + window] += frames[m]
+        weight[m * hop : m * hop + window] += win * win
+    covered = weight > 1e-12
+    out[covered] /= weight[covered]
+    body = out[window // 2 : padded_len - window // 2]
+    if length > body.size:
+        return np.concatenate([body, np.zeros(length - body.size)])
+    return body[:length]
+
+
+@pytest.mark.parametrize("window,hop", [(512, 128), (256, 128), (64, 16)])
+@pytest.mark.parametrize("length", [1, 127, 128, 129, 22050])
+def test_transforms_bit_equal_to_gather_and_frame_loop(length, window, hop):
+    rng = np.random.default_rng(length + window + hop)
+    x = rng.standard_normal(length)
+    spec = stft(wave(x), window, hop)
+    assert spec.bins.tobytes() == reference_stft_bins(x, window, hop).tobytes()
+    # random complex gains, so the frames no longer overlap-add back to x
+    # and every sum carries rounding
+    gains = rng.uniform(0.0, 2.0, spec.bins.shape) * np.exp(1j * rng.uniform(-3, 3, spec.bins.shape))
+    masked = Spectrogram(bins=spec.bins * gains, window=window, hop=hop, sample_rate=22050)
+    for out_len in (length, length + 300):
+        out = istft(masked, length=out_len).samples
+        ref = reference_istft(masked.bins, window, hop, out_len)
+        assert out.tobytes() == ref.tobytes()
 
 
 def test_zero_spectrogram_gives_zero_waveform():
