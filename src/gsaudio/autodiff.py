@@ -31,9 +31,15 @@ class Tensor:
     ``param=True`` marks a leaf whose gradient should be reported by
     backward(). ``tracked`` is set automatically on every tensor that
     depends on a parameter.
+
+    ``version`` counts in-place writes to ``data``, like PyTorch's per-tensor
+    ``_version``: a cache keyed on ``(data, version)`` sees a replaced array by
+    its identity and an in-place write by the count. ``Adam.step`` bumps it
+    after each update; any other in-place write to a parameter's ``data``
+    must bump it too.
     """
 
-    __slots__ = ("data", "param", "name", "uid", "tracked")
+    __slots__ = ("data", "param", "name", "uid", "tracked", "version")
 
     def __init__(self, data, param=False, name=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -44,6 +50,7 @@ class Tensor:
         self.name = name
         self.uid = next(_uid_counter)
         self.tracked = self.param
+        self.version = 0
 
     @property
     def shape(self):

@@ -93,7 +93,9 @@ class FieldNetwork:
 @dataclass
 class SceneContext:
     """Conditioning vector C = C_source (+) C_listener, kept as a (1, 128)
-    in-graph tensor, plus the vicinity index sets that produced it."""
+    in-graph tensor, plus the vicinity index sets that produced it. The
+    ``source_indices`` of a tape-free ``SceneModel.context`` are the model's
+    cached array, which is read-only."""
 
     tensor: Tensor
     listener_indices: np.ndarray
@@ -107,25 +109,29 @@ class SceneContext:
         return self.tensor.data[0].copy()
 
 
+def anchor_context(tape, net: FieldNetwork, positions, alphas, anchor, percentile):
+    """Mean per-point context over the vicinity of ``anchor``: returns the
+    (1, context_dim) tensor and the vicinity indices."""
+    indices = vicinity(positions, anchor, percentile)
+    if indices.size == 0:
+        raise ContractViolation("empty vicinity")
+    alpha_block = ad.gather_rows(tape, alphas, indices)
+    guidance = Tensor(guidance_rows(positions[indices], anchor))
+    x = ad.concat(tape, [alpha_block, guidance], axis=1)
+    ctx = net.forward(tape, x)
+    return ad.mean(tape, ctx, axis=0, keepdims=True), indices
+
+
 def pooled_context(tape, net: FieldNetwork, positions, alphas, listener: Pose, source_position,
-                   percentile) -> SceneContext:
+                   percentile, source_half=None) -> SceneContext:
     """Mean per-point context over the source vicinity and the listener
     vicinity, concatenated source-first. ``alphas`` is the (N, K) parameter
-    tensor whose row i is the audio guidance of point i."""
-    listener_pos = listener.position
-    s_idx = vicinity(positions, source_position, percentile)
-    l_idx = vicinity(positions, listener_pos, percentile)
-
-    def anchor_mean(indices, anchor):
-        if indices.size == 0:
-            raise ContractViolation("empty vicinity")
-        alpha_block = ad.gather_rows(tape, alphas, indices)
-        guidance = Tensor(guidance_rows(positions[indices], anchor))
-        x = ad.concat(tape, [alpha_block, guidance], axis=1)
-        ctx = net.forward(tape, x)
-        return ad.mean(tape, ctx, axis=0, keepdims=True)
-
-    c_source = anchor_mean(s_idx, source_position)
-    c_listener = anchor_mean(l_idx, listener_pos)
+    tensor whose row i is the audio guidance of point i. ``source_half``, an
+    ``anchor_context`` result for the source taken on the same inputs, is
+    used instead of computing it again."""
+    if source_half is None:
+        source_half = anchor_context(tape, net, positions, alphas, source_position, percentile)
+    c_source, s_idx = source_half
+    c_listener, l_idx = anchor_context(tape, net, positions, alphas, listener.position, percentile)
     combined = ad.concat(tape, [c_source, c_listener], axis=1)
     return SceneContext(tensor=combined, listener_indices=l_idx, source_indices=s_idx)

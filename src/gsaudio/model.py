@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .binauralizer import (AcousticMasks, MaskNetwork, binauralize, normalize_position)
 from .dsp import ImpulseResponse, Waveform
 from .errors import ConfigError
-from .field import FieldNetwork, SceneContext, pooled_context
+from .field import FieldNetwork, SceneContext, anchor_context, pooled_context
 from .scene import AudioPointSet, Pose, load_audio_points, save_audio_points
 
 CONFIG_NAME = "config.json"
@@ -27,7 +27,21 @@ BINAURALIZER_NAME = "binauralizer.bin"
 
 class SceneModel:
     """Point set plus networks; the unit that training mutates and the CLI
-    renders from."""
+    renders from.
+
+    The source does not move, so the source half of the context (its (1, C)
+    mean tensor and its vicinity indices) is the same for every pose. A
+    tape-free ``context`` call (render, masks, impulse responses,
+    evaluation) reuses it from a cache; a call with a tape always computes
+    it fresh, so training never reads the cache. The cache key holds
+    ``positions``, the source coordinates, ``percentile`` and
+    ``(data, version)`` of ``alphas`` and of every field parameter. Arrays
+    are compared by identity (the key keeps them alive, so an id is never
+    reused), everything else by value: replacing an array (``add_points``,
+    ``keep_points``, loading, any ``p.data = ...``) or writing one in place
+    through ``Adam.step`` (which bumps ``version``) misses the key. An
+    in-place write to ``positions`` must replace the array instead.
+    """
 
     def __init__(self, points: AudioPointSet, field: FieldNetwork, masknet: MaskNetwork,
                  source, bounds, percentile=15.0, window=512, hop=128,
@@ -48,6 +62,8 @@ class SceneModel:
         self.hop = int(hop)
         self.sample_rate = int(sample_rate)
         self.seed = seed
+        self._source_key = ()
+        self._source_half = None
 
     # --- point bookkeeping ---
 
@@ -75,8 +91,22 @@ class SceneModel:
     # --- forward paths ---
 
     def context(self, tape, listener) -> SceneContext:
+        source_half = None if tape is not None else self._cached_source_half()
         return pooled_context(tape, self.field, self.positions, self.alphas, listener,
-                              self.source, self.percentile)
+                              self.source, self.percentile, source_half=source_half)
+
+    def _cached_source_half(self):
+        key = [self.positions, tuple(self.source), self.percentile]
+        for t in [self.alphas] + self.field.params():
+            key += [t.data, t.version]
+        cached = self._source_key
+        if len(key) != len(cached) or not all(
+                a is b if isinstance(a, np.ndarray) else a == b for a, b in zip(key, cached)):
+            c_source, indices = anchor_context(None, self.field, self.positions, self.alphas,
+                                               self.source, self.percentile)
+            indices.flags.writeable = False
+            self._source_key, self._source_half = key, (c_source, indices)
+        return self._source_half
 
     def mask_tensors(self, tape, pose: Pose, context=None):
         ctx = self.context(tape, pose) if context is None else context

@@ -40,8 +40,9 @@ class Adam:
     def step(self, grads, rows=None):
         """Apply one update using ``grads``, a {Tensor: ndarray} map as
         produced by Tape.backward(); parameters without an entry are left
-        untouched. ``rows`` (unique indices into the leading axis) limits the
-        update to those rows; by default every row is updated."""
+        untouched, and each one written gets its ``version`` bumped once.
+        ``rows`` (unique indices into the leading axis) limits the update to
+        those rows; by default every row is updated."""
         rows = slice(None) if rows is None else rows
         for p, m, v, t in zip(self.params, self.m, self.v, self.t):
             g = grads.get(p)
@@ -61,6 +62,7 @@ class Adam:
             m_hat = m_rows / c1
             v_hat = v_rows / c2
             p.data[rows] = p.data[rows] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.version += 1
 
     def _bias_corrections(self, t, ndim):
         """Per-row 1 - beta ** t, shaped to broadcast over a row. Each power is

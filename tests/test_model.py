@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from gsaudio import field as field_module
 from gsaudio import scene
-from gsaudio.binauralizer import MaskNetwork
+from gsaudio.autodiff import Tape
+from gsaudio.binauralizer import MaskNetwork, binauralize
+from gsaudio.cli import build_model, load_run_config, train_config_from
+from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.dsp import Waveform
 from gsaudio.errors import ConfigError
-from gsaudio.field import FieldNetwork
+from gsaudio.field import FieldNetwork, pooled_context
 from gsaudio.model import SceneModel
+from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.scene import AudioPointSet, Pose, synthetic_cloud, init_audio_points
+from gsaudio.training import Trainer
 
 
 def make_model(mode="binaural", seed=0, n_points=64):
@@ -118,3 +124,143 @@ def test_failed_points_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     monkeypatch.undo()
     back = SceneModel.load(tmp_path / "ckpt")
     assert back.point_count == 20
+
+
+# --- the cached source half of the context ---
+
+def poses(count, seed=11):
+    rng = np.random.default_rng(seed)
+    return [Pose.from_yaw(rng.uniform([0.3, 0.3, 0.5], [5.7, 3.7, 2.5]), rng.uniform(-3, 3))
+            for _ in range(count)]
+
+
+def uncached_context(model, pose):
+    return pooled_context(None, model.field, model.positions, model.alphas, pose,
+                          model.source, model.percentile)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_context_uncached(model, pose):
+    """The next tape-free context equals one computed without the cache, bit
+    for bit, indices included; returns it."""
+    got = model.context(None, pose)
+    want = uncached_context(model, pose)
+    assert same_bits(got.tensor.data, want.tensor.data)
+    assert np.array_equal(got.source_indices, want.source_indices)
+    assert np.array_equal(got.listener_indices, want.listener_indices)
+    return got
+
+
+@pytest.mark.parametrize("n_points", [512, 4096])
+def test_cached_context_and_render_bit_equal_to_uncached(n_points):
+    model = make_model(seed=12, n_points=n_points)
+    mono = Waveform(np.random.default_rng(13).standard_normal(4000) * 0.3, 22050)
+    for pose in poses(12):
+        assert_context_uncached(model, pose)
+        left, right = model.render(pose, mono)
+        masks = model.masks(pose, context=uncached_context(model, pose))
+        want_left, want_right = binauralize(mono, masks, model.window, model.hop)
+        assert same_bits(left.samples, want_left.samples)
+        assert same_bits(right.samples, want_right.samples)
+
+
+def test_second_context_runs_one_vicinity_and_one_field_pass(monkeypatch):
+    model = make_model(seed=14, n_points=256)
+    calls = {"vicinity": 0, "forward": 0}
+    vicinity, forward = field_module.vicinity, FieldNetwork.forward
+
+    def counting_vicinity(*args):
+        calls["vicinity"] += 1
+        return vicinity(*args)
+
+    def counting_forward(*args):
+        calls["forward"] += 1
+        return forward(*args)
+
+    monkeypatch.setattr(field_module, "vicinity", counting_vicinity)
+    monkeypatch.setattr(FieldNetwork, "forward", counting_forward)
+    first, second = poses(2)
+    model.context(None, first)
+    assert calls == {"vicinity": 2, "forward": 2}
+    model.context(None, second)
+    assert calls == {"vicinity": 3, "forward": 3}
+    model.context(Tape(), second)  # a tape computes both halves
+    assert calls == {"vicinity": 5, "forward": 5}
+
+
+def test_cached_source_indices_are_read_only():
+    model = make_model(seed=15, n_points=128)
+    pose = poses(1)[0]
+    ctx = model.context(None, pose)
+    with pytest.raises(ValueError):
+        ctx.source_indices[0] = ctx.source_indices[1]
+    assert_context_uncached(model, pose)
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds") / "data"
+    synth_dataset(root, ShoeboxRoom([6.0, 4.0, 3.0], 0.7), n_samples=12, seed=3)
+    return Dataset.load(root)
+
+
+def make_trainer(dataset, seed=16):
+    cfg = load_run_config(None, {"seed": seed, "init_points": 256})
+    tcfg = train_config_from(cfg, iterations=10, seed=seed)
+    return Trainer(build_model(dataset, cfg), dataset, tcfg)
+
+
+def test_train_step_invalidates_the_cached_source_half(small_dataset):
+    trainer = make_trainer(small_dataset)
+    pose = poses(1)[0]
+    before = assert_context_uncached(trainer.model, pose)
+    trainer.train_step(trainer._train_cache[0])  # Adam writes alphas and weights in place
+    after = assert_context_uncached(trainer.model, pose)
+    assert not same_bits(after.tensor.data[:, :64], before.tensor.data[:, :64])
+
+
+def test_densify_invalidates_the_cached_source_half(small_dataset):
+    trainer = make_trainer(small_dataset)
+    pose = poses(1)[0]
+    before = assert_context_uncached(trainer.model, pose)
+    trainer.stats.counts[:] = 1
+    trainer.stats.grad_sum[before.source_indices] = 1.0
+    assert trainer.densify() == before.source_indices.size
+    after = assert_context_uncached(trainer.model, pose)
+    assert not np.array_equal(after.source_indices, before.source_indices)
+
+
+def test_keep_points_invalidates_the_cached_source_half():
+    model = make_model(seed=17, n_points=300)
+    pose = poses(1)[0]
+    before = assert_context_uncached(model, pose)
+    model.keep_points(np.setdiff1d(np.arange(300), before.source_indices[::2]))
+    after = assert_context_uncached(model, pose)
+    assert not same_bits(after.tensor.data[:, :64], before.tensor.data[:, :64])
+
+
+def test_reassigned_field_weight_invalidates_the_cached_source_half():
+    model = make_model(seed=18, n_points=300)
+    pose = poses(1)[0]
+    before = assert_context_uncached(model, pose)
+    model.field.w1.data = model.field.w1.data * 1.5
+    after = assert_context_uncached(model, pose)
+    assert not same_bits(after.tensor.data[:, :64], before.tensor.data[:, :64])
+
+
+def test_tape_context_after_a_cached_render_reaches_the_source_rows():
+    model = make_model(seed=19, n_points=300)
+    pose = poses(1)[0]
+    mono = Waveform(np.random.default_rng(20).standard_normal(4000) * 0.3, 22050)
+    model.render(pose, mono)
+    tape = Tape()
+    ctx = model.context(tape, pose)
+    assert ctx.source_indices.flags.writeable  # fresh, not the cached array
+    source_only = np.setdiff1d(ctx.source_indices, ctx.listener_indices)
+    assert source_only.size > 0
+    grads = tape.backward(ctx.tensor)
+    assert np.all(np.any(grads[model.alphas][source_only] != 0.0, axis=1))

@@ -163,3 +163,19 @@ def test_state_round_trip_bit_identical():
     clone.step({q1: g1, q2: g2})
     assert np.array_equal(p1.data, q1.data)
     assert np.array_equal(p2.data, q2.data)
+
+
+def test_version_starts_at_zero():
+    assert make_param([1.0]).version == 0
+    assert Tensor(np.zeros(3)).version == 0
+
+
+def test_step_bumps_version_once_per_written_parameter():
+    p, q, idle = make_param(np.zeros((3, 2))), make_param([0.5]), make_param([2.0])
+    opt = Adam([p, q, idle], lr=0.1)
+    for i in range(1, 4):
+        opt.step({p: np.ones((3, 2)), q: np.ones(1)}, rows=None if i < 3 else np.array([0]))
+        assert (p.version, q.version) == (i, i)
+    # a parameter without a gradient entry is not written and keeps its version
+    assert idle.version == 0
+    assert idle.data[0] == 2.0
