@@ -274,14 +274,20 @@ def concat(tape, tensors, axis=0):
 def gather_rows(tape, a, indices):
     """Rows ``indices`` of ``a`` (entries of its first axis), in that order;
     an index may repeat. The backward pass scatter-adds into a dense zero
-    gradient of ``a``'s shape."""
+    gradient of ``a``'s shape. Strictly increasing non-negative indices name
+    each row once, so a buffered ``+=`` gives the bits of ``np.add.at``
+    (0.0 + g, which turns -0.0 into +0.0) at a fraction of its cost."""
     a = _wrap(a)
     indices = np.asarray(indices, dtype=np.int64)
     shape = a.data.shape
 
     def bwd(g):
         full = np.zeros(shape)
-        np.add.at(full, indices, g)
+        if (indices.ndim == 1 and indices.size and indices[0] >= 0
+                and np.all(indices[1:] > indices[:-1])):
+            full[indices] += g
+        else:
+            np.add.at(full, indices, g)
         return (full,)
 
     return _record(tape, "gather_rows", (a,), a.data[indices], bwd)

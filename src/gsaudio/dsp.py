@@ -131,7 +131,7 @@ def istft(spec: Spectrogram, length=None) -> Waveform:
         out_blocks[j : j + n_frames] += frame_blocks[:, j]
         weight_blocks[j : j + n_frames] += win_sq[j]
     covered = weight > 1e-12
-    out[covered] /= weight[covered]
+    np.divide(out, weight, out=out, where=covered)
     half = window // 2
     body = out[half : padded_len - half]
     if length is not None:

@@ -108,6 +108,39 @@ def test_gather_rows_repeated_indices_match_finite_differences():
     assert np.all(grads[x][[2, 4, 5]] == 0.0)
 
 
+def gather_rows_gradient(indices, upstream, n_rows):
+    """Gradient that ``gather_rows`` sends back to an (n_rows, K) input when
+    the gradient arriving at its output is ``upstream``."""
+    x = Tensor(np.ones((n_rows, upstream.shape[1])), param=True)
+    tape = Tape()
+    rows = ad.gather_rows(tape, x, indices)
+    return tape.backward(ad.total(tape, ad.mul(tape, rows, Tensor(upstream))))[x]
+
+
+def test_gather_rows_unique_indices_give_add_at_bits():
+    rng = np.random.default_rng(5)
+    indices = np.array([0, 2, 3, 7, 8])
+    upstream = rng.standard_normal((indices.size, 4))
+    upstream[1, 2] = upstream[3, 0] = -0.0
+    upstream[4, 1] = 0.0
+    want = np.zeros((10, 4))
+    np.add.at(want, indices, upstream)
+    got = gather_rows_gradient(indices, upstream, 10)
+    assert got.tobytes() == want.tobytes()
+    # -0.0 arrives at the gradient as +0.0, as np.add.at writes it; a plain
+    # assignment would keep the sign bit
+    assigned = np.zeros((10, 4))
+    assigned[indices] = upstream
+    assert got.tobytes() != assigned.tobytes()
+
+
+def test_gather_rows_negative_increasing_indices_still_accumulate():
+    # -1 and 4 are strictly increasing but name the same row of five
+    upstream = np.array([[1.5], [2.25]])
+    got = gather_rows_gradient(np.array([-1, 4]), upstream, 5)
+    assert np.array_equal(got[:, 0], [0.0, 0.0, 0.0, 0.0, 3.75])
+
+
 def test_gather_rows_forward_and_len():
     a = Tensor(np.arange(12.0).reshape(4, 3))
     out = ad.gather_rows(None, a, [2, 2, 0])

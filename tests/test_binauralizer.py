@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from gsaudio import autodiff as ad
 from gsaudio.binauralizer import (AcousticMasks, MaskNetwork, binauralize,
                                   normalize_position, positional_encoding,
                                   transform_direction)
-from gsaudio.dsp import Waveform, stft
+from gsaudio.dsp import Spectrogram, Waveform, istft, stft
 from gsaudio.errors import ConfigError, ContractViolation
 from gsaudio.scene import Pose
 
@@ -211,6 +213,71 @@ def test_mask_size_mismatch_rejected():
     bad = AcousticMasks(mixture=np.ones(100), difference=np.zeros(100))
     with pytest.raises(ContractViolation):
         binauralize(mono, bad)
+
+
+def magnitude_phase_binauralize(mono, masks, window=512, hop=128):
+    """The magnitude-and-phase formulation: scale |X| per channel, count and
+    clamp the negative cells, and restore the mono phase X/|X|. Returns the
+    two channels and the clamped cell count."""
+    spec = stft(mono, window, hop)
+    mags = spec.magnitudes()
+    phase = np.where(mags > 0, spec.bins / np.where(mags > 0, mags, 1.0), 1.0)
+    s_m = masks.mixture[:, None] * mags
+    s_d = masks.difference[:, None] * mags
+    channels = (0.5 * (s_m + s_d), 0.5 * (s_m - s_d))
+    clamped = sum(np.count_nonzero(c < 0) for c in channels)
+    out = [istft(Spectrogram(bins=np.maximum(c, 0.0) * phase, window=window, hop=hop,
+                             sample_rate=mono.sample_rate), length=len(mono))
+           for c in channels]
+    return out[0], out[1], clamped
+
+
+@pytest.mark.parametrize("length", [1, 127, 128, 129, 22050])
+def test_complex_gains_match_magnitude_and_phase(length):
+    rng = np.random.default_rng(length)
+    mono = Waveform(rng.uniform(-1.0, 1.0, length), 22050)
+    masks = AcousticMasks(mixture=rng.uniform(0.0, 2.0, N_BINS),
+                          difference=rng.uniform(-1.0, 1.0, N_BINS))
+    left, right = binauralize(mono, masks)
+    want_left, want_right, _ = magnitude_phase_binauralize(mono, masks)
+    assert np.max(np.abs(left.samples - want_left.samples)) <= 1e-14
+    assert np.max(np.abs(right.samples - want_right.samples)) <= 1e-14
+
+
+def test_clamp_count_skips_silent_frames(caplog):
+    rng = np.random.default_rng(23)
+    samples = rng.standard_normal(22050) * 0.3
+    samples[3000:9000] = 0.0
+    samples[15000:] = 0.0
+    mono = Waveform(samples, 22050)
+    masks = AcousticMasks(mixture=rng.uniform(0.0, 0.6, N_BINS),
+                          difference=rng.uniform(-1.0, 1.0, N_BINS))
+    spec = stft(mono)
+    _, _, clamped = magnitude_phase_binauralize(mono, masks)
+    negative_gains = np.count_nonzero(masks.mixture + masks.difference < 0) \
+        + np.count_nonzero(masks.mixture - masks.difference < 0)
+    # silent frames have no magnitude to clamp, so they must not count
+    assert clamped < negative_gains * spec.n_frames
+    with caplog.at_level("WARNING", logger="gsaudio.binauralizer"):
+        binauralize(mono, masks)
+    (record,) = [r for r in caplog.records if "clamped" in r.message]
+    assert record.args[0] == 100.0 * clamped / (spec.bins.size * 2)
+
+
+def test_binauralize_peak_memory_below_five_spectrograms():
+    rng = np.random.default_rng(24)
+    mono = Waveform(rng.uniform(-1.0, 1.0, 22050), 22050)
+    masks = AcousticMasks(mixture=rng.uniform(0.5, 1.5, N_BINS),
+                          difference=rng.uniform(-0.4, 0.4, N_BINS))
+    spec_bytes = stft(mono).bins.nbytes
+    binauralize(mono, masks)
+    tracemalloc.start()
+    try:
+        binauralize(mono, masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * spec_bytes, peak / spec_bytes
 
 
 # --- differentiability ---

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsaudio import binauralizer as binauralizer_module
 from gsaudio import field as field_module
 from gsaudio import scene
 from gsaudio.autodiff import Tape
@@ -42,6 +43,26 @@ def test_checkpoint_round_trip_renders_identically(tmp_path):
     assert np.array_equal(r1.samples, r2.samples)
     assert back.point_count == model.point_count
     assert back.mode == "binaural"
+
+
+def test_render_runs_one_stft_and_two_istfts(monkeypatch):
+    # the traced benchmark wraps these two module globals and checks
+    # dsp.istft calls == 2 x renders
+    calls = {"stft": 0, "istft": 0}
+
+    def counted(name):
+        inner = getattr(binauralizer_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(binauralizer_module, name, counted(name))
+    mono = Waveform(np.random.default_rng(5).standard_normal(4000) * 0.3, 22050)
+    make_model(seed=2).render(Pose.from_yaw([4.0, 2.0, 1.5], 0.5), mono)
+    assert calls == {"stft": 1, "istft": 2}
 
 
 def test_alpha_width_must_match_field(tmp_path):
