@@ -5,8 +5,9 @@ order. Gradients come from walking that record backwards once, so the
 accumulation order is fixed and repeat runs are bit-identical. The primitive
 set is small on purpose: matrix multiply, the fused dense layer ``dense``
 (matmul, bias and optional relu as one entry, so a layer makes one output
-array and one finite scan), broadcast arithmetic, relu and sigmoid,
-concatenation, row gathering, ``broadcast_rows`` (one row repeated n times),
+array and one finite scan; its input may be a list of column blocks, where
+a one-row block is multiplied once and broadcast over the output's rows),
+broadcast arithmetic, relu and sigmoid, concatenation, row gathering,
 reductions, and a row-wise product used by the volume regularizer.
 
 Ops are module-level functions taking the tape as first argument; pass
@@ -138,39 +139,48 @@ def matmul(tape, a, b):
 
 
 def dense(tape, x, w, b, relu=False):
-    """``relu(x @ w + b)`` (or ``x @ w + b``) as one tape entry.
+    """``relu(x @ w + b)`` (or ``x @ w + b``) as one tape entry; ``x`` is a
+    tensor or a list of column blocks in the row order of ``w``.
 
-    The bias add and the relu run in place on the matmul's output, and the
-    backward pass uses the expressions of ``relu``, ``add`` and ``matmul``,
-    so values and gradients carry the bits of that three-op composition.
+    A (1, c) block stands for that row on every output row and is multiplied
+    once: ``row = b + x_k @ w_k`` over the one-row blocks, ``out`` the sum
+    of ``x_k @ w_k`` over the others, then ``out += row`` and the relu in
+    place. One block gives ``x @ w`` then ``+= b``, and the backward uses
+    the expressions of ``relu``, ``add`` and ``matmul``: the bits of that
+    composition. A one-row block's gradients use the layer gradient's
+    column sum; untracked blocks get none.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ContractViolation(f"dense shapes {x.shape} x {w.shape}")
-    xd, wd = x.data, w.data
-    out = xd @ wd
-    out += b.data
+    blocks = [_wrap(t) for t in ([x] if isinstance(x, (Tensor, np.ndarray)) else x)]
+    w, b = _wrap(w), _wrap(b)
+    if (not blocks or any(t.data.ndim != 2 for t in blocks) or w.data.ndim != 2
+            or sum(t.shape[1] for t in blocks) != w.shape[0]
+            or len({t.shape[0] for t in blocks} - {1}) > 1):
+        raise ContractViolation(f"dense blocks {[t.shape for t in blocks]} x {w.shape}")
+    bounds = list(itertools.accumulate((t.shape[1] for t in blocks), initial=0))
+    ws = [w.data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    one_row = [t.shape[0] == 1 for t in blocks]
+    row, out = b.data, None
+    for t, wk, single in zip(blocks, ws, one_row):
+        if single:
+            row = row + t.data @ wk
+        elif out is None:
+            out = t.data @ wk
+        else:
+            out += t.data @ wk
+    out = row if out is None else np.add(out, row, out=out)
     if relu:
         np.maximum(out, 0.0, out=out)
 
     def bwd(g):
         if relu:
             g = g * (out > 0.0)
-        return g @ wd.T, xd.T @ g, _unbroadcast(g, b.data.shape)
+        gs = g.sum(axis=0, keepdims=True) if any(one_row) else None
+        gks = [gs if single else g for single in one_row]
+        return (*(gk @ wk.T if t.tracked else None for t, wk, gk in zip(blocks, ws, gks)),
+                np.concatenate([t.data.T @ gk for t, gk in zip(blocks, gks)]),
+                _unbroadcast(g, b.data.shape))
 
-    return _record(tape, "dense", (x, w, b), out, bwd)
-
-
-def broadcast_rows(tape, a, n):
-    """A (1, C) tensor repeated as ``n`` rows."""
-    a = _wrap(a)
-    if a.data.ndim != 2 or a.shape[0] != 1:
-        raise ContractViolation(f"broadcast_rows expects a (1, C) tensor, got shape {a.shape}")
-
-    def bwd(g):
-        return (g.sum(axis=0, keepdims=True),)
-
-    return _record(tape, "broadcast_rows", (a,), np.repeat(a.data, n, axis=0), bwd)
+    return _record(tape, "dense", (*blocks, w, b), out, bwd)
 
 
 def add(tape, a, b):

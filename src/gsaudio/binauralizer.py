@@ -99,7 +99,13 @@ def _encoding_column_scale(levels, falloff=0.5):
 
 
 class MaskNetwork:
-    """The binauralizer network B; ``mode`` is "binaural" or "rir"."""
+    """The binauralizer network B; ``mode`` is "binaural" or "rir".
+
+    The first layers take column blocks (``ad.dense``). Per row vary only
+    the frequency encoding (MLP-1, binaural), the features (MLP-2,
+    binaural) and the time encoding (MLP-2, rir); the position, context
+    and direction blocks are one row per request, multiplied once.
+    """
 
     def __init__(self, mode="binaural", context_dim=CONTEXT_DIM, levels=ENCODING_LEVELS,
                  rng=None, seed=None):
@@ -139,8 +145,6 @@ class MaskNetwork:
         # be symmetric until data says otherwise, and most of the
         # impulse-response target is exactly zero
         self.m4 = _linear_init(rng, w, 1, "mlp2.l4", gain=1e-3)
-        self.in1 = in1
-        self.in2 = in2
 
     def params(self):
         layers = [self.l1, self.l2, self.l3, self.l4]
@@ -159,17 +163,13 @@ class MaskNetwork:
         h3 = ad.relu(tape, ad.add(tape, ad.dense(tape, h2, *l3), h1))
         return ad.dense(tape, h3, *l4, relu=relu)
 
-    def features(self, tape, x):
-        """MLP-1 feature rows (relu-activated)."""
-        if x.data.shape[1] != self.in1:
-            raise ContractViolation(f"mlp1 input width {x.data.shape[1]}, expected {self.in1}")
-        return self._backbone(tape, (self.l1, self.l2, self.l3, self.l4), x, relu=True)
+    def features(self, tape, blocks):
+        """MLP-1 feature rows (relu-activated) from column blocks in ``l1``'s row order."""
+        return self._backbone(tape, (self.l1, self.l2, self.l3, self.l4), blocks, relu=True)
 
-    def _head(self, tape, x):
+    def _head(self, tape, blocks):
         """MLP-2 terminal: sigmoid scaled to (-1, 1)."""
-        if x.data.shape[1] != self.in2:
-            raise ContractViolation(f"mlp2 input width {x.data.shape[1]}, expected {self.in2}")
-        z = self._backbone(tape, (self.m1, self.m2, self.m3, self.m4), x)
+        z = self._backbone(tape, (self.m1, self.m2, self.m3, self.m4), blocks)
         return ad.sub(tape, ad.scale(tape, ad.sigmoid(tape, z), 2.0), Tensor(np.array(1.0)))
 
     def mask_tensors(self, tape, xy01, theta, context, n_bins):
@@ -180,20 +180,13 @@ class MaskNetwork:
         if self.mode != "binaural":
             raise ConfigError("mask query requires binaural mode")
         ctx = context.tensor if isinstance(context, SceneContext) else context
-        if ctx.data.shape[1] != self.context_dim:
-            raise ContractViolation(
-                f"context width {ctx.data.shape[1]}, expected {self.context_dim}"
-            )
         f_norm = np.arange(n_bins) / max(n_bins - 1, 1)
-        enc_xy = np.tile(positional_encoding(xy01, self.levels), (n_bins, 1))
-        enc_f = positional_encoding(f_norm[:, None], self.levels)
-        ctx_rows = ad.broadcast_rows(tape, ctx, n_bins)
-        x1 = ad.concat(tape, [Tensor(enc_xy), Tensor(enc_f), ctx_rows], axis=1)
-        feats = self.features(tape, x1)
+        enc_xy = Tensor(positional_encoding(xy01, self.levels)[None, :])
+        enc_f = Tensor(positional_encoding(f_norm[:, None], self.levels))
+        feats = self.features(tape, [enc_xy, enc_f, ctx])
         mixture = ad.scale(tape, ad.sigmoid(tape, ad.dense(tape, feats, *self.mix_proj)), 2.0)
-        enc_dir = np.tile(_encode_direction(theta, self.levels), (n_bins, 1))
-        x2 = ad.concat(tape, [feats, Tensor(enc_dir)], axis=1)
-        difference = self._head(tape, x2)
+        enc_dir = Tensor(_encode_direction(theta, self.levels)[None, :])
+        difference = self._head(tape, [feats, enc_dir])
         return mixture, difference
 
     def rir_tensor(self, tape, xy01, theta, context, times01):
@@ -202,16 +195,12 @@ class MaskNetwork:
         if self.mode != "rir":
             raise ConfigError("impulse-response head requires rir mode")
         ctx = context.tensor if isinstance(context, SceneContext) else context
-        enc_xy = positional_encoding(xy01, self.levels)[None, :]
-        x1 = ad.concat(tape, [Tensor(enc_xy), ctx], axis=1)
-        feats = self.features(tape, x1)  # (1, width)
+        enc_xy = Tensor(positional_encoding(xy01, self.levels)[None, :])
+        feats = self.features(tape, [enc_xy, ctx])  # (1, width)
+        enc_dir = Tensor(_encode_direction(theta, self.levels)[None, :])
         t = np.asarray(times01, dtype=np.float64).reshape(-1, 1)
-        n = t.shape[0]
-        feat_rows = ad.broadcast_rows(tape, feats, n)
-        enc_dir = np.tile(_encode_direction(theta, self.levels), (n, 1))
-        enc_t = positional_encoding(t, self.levels)
-        x2 = ad.concat(tape, [feat_rows, Tensor(enc_dir), Tensor(enc_t)], axis=1)
-        return self._head(tape, x2)
+        enc_t = Tensor(positional_encoding(t, self.levels))
+        return self._head(tape, [feats, enc_dir, enc_t])
 
     def save(self, path):
         header = {

@@ -202,20 +202,106 @@ def test_dense_rejects_width_mismatch():
         ad.dense(None, Tensor(np.ones(4)), Tensor(np.ones((4, 3))), b)
 
 
-def test_broadcast_rows_matches_finite_differences():
-    rng = np.random.default_rng(13)
-    weights = Tensor(rng.standard_normal((6, 4)))
+BLOCK_WIDTHS = (3, 2, 2)
 
-    def f(tape, x):
-        rows = ad.broadcast_rows(tape, x, 6)
-        return ad.total(tape, ad.sigmoid(tape, ad.mul(tape, rows, weights)))
 
-    err = finite_difference_check(f, rng.standard_normal((1, 4)), step=1e-6)
-    assert err < 1e-7
-    out = ad.broadcast_rows(None, Tensor(np.arange(3.0)[None, :]), 4)
-    assert np.array_equal(out.data, np.tile(np.arange(3.0), (4, 1)))
+def block_inputs(seed):
+    """A one-row block, a seven-row block and a second one-row block, with
+    weights and bias for a (7, 6) dense output."""
+    rng = np.random.default_rng(seed)
+    return {"row": rng.standard_normal((1, 3)),
+            "rows": rng.standard_normal((7, 2)),
+            "last": rng.standard_normal((1, 2)),
+            "w": rng.standard_normal((sum(BLOCK_WIDTHS), 6)),
+            "b": rng.standard_normal(6)}
+
+
+def tiled_pre_activation(inputs):
+    x = np.concatenate([np.repeat(inputs["row"], 7, axis=0), inputs["rows"],
+                        np.repeat(inputs["last"], 7, axis=0)], axis=1)
+    return x @ inputs["w"] + inputs["b"]
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("wrt", ["row", "rows", "w", "b"])
+def test_block_dense_matches_finite_differences(relu, wrt):
+    inputs = block_inputs(21)
+    # as in the single-block test: both signs, clear of the relu kink
+    pre_act = tiled_pre_activation(inputs)
+    assert np.abs(pre_act).min() > 1e-3
+    assert (pre_act > 0).any() and (pre_act < 0).any()
+    fixed = {k: Tensor(v) for k, v in inputs.items() if k != wrt}
+    head = Tensor(np.random.default_rng(22).standard_normal((6, 1)))
+
+    def f(tape, v):
+        args = dict(fixed, **{wrt: v})
+        out = ad.dense(tape, [args["row"], args["rows"], args["last"]], args["w"], args["b"],
+                       relu=relu)
+        return ad.total(tape, ad.sigmoid(tape, ad.matmul(tape, out, head)))
+
+    err = finite_difference_check(f, inputs[wrt], step=1e-5)
+    assert err < 1e-6, err
+
+
+def test_block_dense_matches_tiled_input():
+    inputs = block_inputs(23)
+    params = {k: Tensor(v, param=True) for k, v in inputs.items()}
+    tape = Tape()
+    out = ad.dense(tape, [params["row"], params["rows"], params["last"]],
+                   params["w"], params["b"], relu=True)
+    assert len(tape.entries) == 1
+    assert out.shape == (7, 6)
+    assert np.max(np.abs(out.data - np.maximum(tiled_pre_activation(inputs), 0.0))) < 1e-14
+    grads = tape.backward(ad.total(tape, out))
+    # the tiled rows' gradients summed back onto the one row
+    g = (tiled_pre_activation(inputs) > 0).astype(float)
+    w_row, w_rows, w_last = np.split(inputs["w"], np.cumsum(BLOCK_WIDTHS)[:-1])
+    assert np.allclose(grads[params["row"]], (g @ w_row.T).sum(axis=0, keepdims=True))
+    assert np.allclose(grads[params["rows"]], g @ w_rows.T)
+    assert np.allclose(grads[params["last"]], (g @ w_last.T).sum(axis=0, keepdims=True))
+    assert grads[params["w"]].shape == inputs["w"].shape
+    assert np.allclose(grads[params["b"]], g.sum(axis=0))
+
+
+def test_block_dense_one_row_output_and_constant_blocks():
+    rng = np.random.default_rng(24)
+    a = Tensor(rng.standard_normal((1, 3)), param=True)
+    c = Tensor(rng.standard_normal((1, 2)))
+    w = Tensor(rng.standard_normal((5, 4)), param=True)
+    b = Tensor(rng.standard_normal(4), param=True)
+    tape = Tape()
+    out = ad.dense(tape, [a, c], w, b)
+    assert out.shape == (1, 4)
+    assert np.allclose(out.data, np.concatenate([a.data, c.data], axis=1) @ w.data + b.data)
+    assert tape.entries[0].bwd(np.ones((1, 4)))[1] is None
+    grads = tape.backward(ad.total(tape, out))
+    assert set(grads) == {a, w, b}
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_single_block_dense_is_byte_equal_to_matmul_plus_bias(relu, rows):
+    rng = np.random.default_rng(25 + rows)
+    x, w, b = rng.standard_normal((rows, 5)), rng.standard_normal((5, 3)), rng.standard_normal(3)
+    want = x @ w + b
+    if relu:
+        want = np.maximum(want, 0.0)
+    for arg in (Tensor(x), [Tensor(x)], x):
+        got = ad.dense(None, arg, Tensor(w), Tensor(b), relu=relu)
+        assert got.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [
+    [np.ones(3), np.ones((4, 2))],  # a 1-D block
+    [np.ones((4, 2, 1)), np.ones((4, 3))],  # a 3-D block
+    [np.ones((1, 2)), np.ones((4, 2))],  # widths sum to 4, w has 5 rows
+    [np.ones((4, 2)), np.ones((3, 3))],  # two many-row blocks of 4 and 3 rows
+    [],
+])
+def test_block_dense_rejects_bad_blocks(blocks):
     with pytest.raises(ContractViolation):
-        ad.broadcast_rows(None, Tensor(np.ones((2, 3))), 4)
+        ad.dense(None, [Tensor(x) for x in blocks], Tensor(np.ones((5, 3))),
+                 Tensor(np.zeros(3)))
 
 
 def test_broadcast_add_gradient():

@@ -180,16 +180,26 @@ def test_unit_masks_silence_right_channel():
 
 
 def test_channel_sum_equals_mixture_pre_clamp():
+    """With no gain clamped the two channels sum to the mixture-masked mono:
+    in time for any masks, and in the STFT for a flat mixture. (A mixture
+    that varies over bins makes a spectrogram no signal has, so the STFT of
+    its iSTFT is not the spectrogram itself.)"""
     rng = np.random.default_rng(12)
     mono = Waveform(rng.standard_normal(6000) * 0.4, 22050)
-    masks = AcousticMasks(mixture=rng.uniform(0.5, 1.5, N_BINS),
-                          difference=rng.uniform(-0.4, 0.4, N_BINS))
     spec = stft(mono)
-    s_m = masks.mixture[:, None] * spec.magnitudes()
-    s_d = masks.difference[:, None] * spec.magnitudes()
-    left = 0.5 * (s_m + s_d)
-    right = 0.5 * (s_m - s_d)
-    assert np.max(np.abs((left + right) - s_m)) < 1e-12
+    varying = AcousticMasks(mixture=rng.uniform(0.5, 1.5, N_BINS),
+                            difference=rng.uniform(-0.4, 0.4, N_BINS))
+    flat = AcousticMasks(mixture=np.full(N_BINS, 1.2), difference=rng.uniform(-0.4, 0.4, N_BINS))
+    for masks in (varying, flat):
+        assert np.all(masks.mixture - np.abs(masks.difference) > 0)
+        left, right = binauralize(mono, masks)
+        mixed = istft(Spectrogram(bins=masks.mixture[:, None] * spec.bins, window=512,
+                                  hop=128, sample_rate=22050), length=len(mono))
+        assert np.max(np.abs(left.samples + right.samples - mixed.samples)) < 1e-14
+    left, right = binauralize(mono, flat)
+    channel_sum = stft(left).bins + stft(right).bins
+    peak = np.abs(spec.bins).max()
+    assert np.max(np.abs(channel_sum - flat.mixture[:, None] * spec.bins)) < 1e-14 * peak
 
 
 def test_silent_input_renders_silence():
@@ -205,7 +215,10 @@ def test_heavy_negative_clamp_warns_but_renders(caplog):
     with caplog.at_level("WARNING", logger="gsaudio.binauralizer"):
         left, right = binauralize(mono, make_masks(0.2, 1.0))
     assert any("clamped" in rec.message for rec in caplog.records)
-    assert np.all(right.samples == 0.0) or right.rms() >= 0.0
+    # the right gain 0.5 * (0.2 - 1.0) clamps to zero in every bin
+    assert right.rms() == 0.0
+    assert np.all(np.isfinite(left.samples))
+    assert left.rms() > 0.0
 
 
 def test_mask_size_mismatch_rejected():
