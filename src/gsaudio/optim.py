@@ -43,7 +43,6 @@ class Adam:
         untouched, and each one written gets its ``version`` bumped once.
         ``rows`` (unique indices into the leading axis) limits the update to
         those rows; by default every row is updated."""
-        rows = slice(None) if rows is None else rows
         for p, m, v, t in zip(self.params, self.m, self.v, self.t):
             g = grads.get(p)
             if g is None:
@@ -52,17 +51,37 @@ class Adam:
                 raise ContractViolation(
                     f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
                 )
-            g = g[rows]
-            t[rows] += 1
-            m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * g
-            v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * (g * g)
-            m[rows] = m_rows
-            v[rows] = v_rows
-            c1, c2 = self._bias_corrections(t[rows], p.data.ndim)
-            m_hat = m_rows / c1
-            v_hat = v_rows / c2
-            p.data[rows] = p.data[rows] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if rows is None:
+                t += 1
+                self._update(p.data, m, v, g, t)
+            else:
+                t[rows] += 1
+                data_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
+                self._update(data_rows, m_rows, v_rows, g[rows], t[rows])
+                p.data[rows], m[rows], v[rows] = data_rows, m_rows, v_rows
             p.version += 1
+
+    def _update(self, data, m, v, g, t):
+        """Update ``data``, ``m`` and ``v`` in place from gradient ``g`` at
+        per-row step counts ``t``. Each element takes the operands and order
+        of ``data - lr * (m / c1) / (sqrt(v / c2) + eps)`` with ``m = b1 m +
+        (1 - b1) g`` and ``v = b2 v + (1 - b2) (g g)``, so the bits are those
+        of the out-of-place formula; only the temporaries are fewer."""
+        c1, c2 = self._bias_corrections(t, data.ndim)
+        scratch = np.multiply(g, 1.0 - self.beta1)
+        m *= self.beta1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v *= self.beta2
+        v += scratch
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        step = np.divide(m, c1)
+        step *= self.lr
+        step /= scratch
+        data -= step
 
     def _bias_corrections(self, t, ndim):
         """Per-row 1 - beta ** t, shaped to broadcast over a row. Each power is

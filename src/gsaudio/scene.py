@@ -194,12 +194,12 @@ def vicinity(positions, center, percentile):
     return knn(positions, center, k)
 
 
-def prune_outliers(points: AudioPointSet, min_neighbors=8, radius=0.1):
-    """Drop points with fewer than ``min_neighbors`` other points strictly
-    within ``radius``. Returns (retained set, removed indices)."""
+def outlier_indices(positions, min_neighbors=8, radius=0.1):
+    """Ascending indices of the points of ``positions`` (N, 3) with fewer
+    than ``min_neighbors`` other points strictly within ``radius``; raises
+    ContractViolation when that is every point."""
     if radius <= 0:
         raise ConfigError("radius must be positive")
-    positions = points.positions
     n = positions.shape[0]
     counts = np.empty(n, dtype=np.int64)
     tree = KDTree(positions) if n >= BRUTE_FORCE_LIMIT else None
@@ -210,9 +210,17 @@ def prune_outliers(points: AudioPointSet, min_neighbors=8, radius=0.1):
             counts[i] = tree.count_within(positions[i], radius)
     # count_within includes the query point itself (distance zero)
     removed = np.flatnonzero(counts - 1 < min_neighbors)
-    keep = np.setdiff1d(np.arange(n), removed, assume_unique=True)
-    if keep.size == 0:
+    if removed.size == n:
         raise ContractViolation("pruning would remove every point")
+    return removed
+
+
+def prune_outliers(points: AudioPointSet, min_neighbors=8, radius=0.1):
+    """Drop points with fewer than ``min_neighbors`` other points strictly
+    within ``radius``. Returns (retained set, removed indices)."""
+    positions = points.positions
+    removed = outlier_indices(positions, min_neighbors, radius)
+    keep = np.setdiff1d(np.arange(positions.shape[0]), removed, assume_unique=True)
     retained = AudioPointSet(positions=positions[keep].copy(), alpha=points.alpha[keep].copy())
     return retained, removed
 

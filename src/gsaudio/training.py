@@ -5,6 +5,18 @@ and checkpointing with bit-identical resume.
 Per iteration the loop runs densify (on its cadence), then prune (on its
 cadence), then one gradient step on a randomly drawn training perspective,
 so pruning can never remove a point the current step is about to use.
+
+Both binaural masks are constant over frames, so each reconstruction term
+is a quadratic in one gain per bin. With mono magnitudes M (F, T), a target
+G and a gain a_f,
+
+    sum_t (a_f M_ft - G_ft)^2 = S_f (a_f - c_f)^2 + R_f,
+
+where S_f = sum_t M_ft^2, c_f = sum_t M_ft G_ft / S_f (0 where S_f = 0) and
+R_f = sum_t (G_ft - c_f M_ft)^2. Both terms are non-negative, so the sum has
+no cancellation. The training cache keeps only S, the three c and the
+scalar sum of R per sample, and a step evaluates the loss on (F, 1) gains
+instead of (F, T) grids.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from .irmetrics import rir_metrics
 from .model import SceneModel
 from .optim import Adam, reindex_rows
 from .roomsim import ear_positions
-from .scene import AudioPointSet, Pose, prune_outliers
+from .scene import Pose, outlier_indices
 from .training_state import load_train_state, save_train_state
 
 log = logging.getLogger("gsaudio.training")
@@ -89,6 +101,20 @@ def loss_reconstruction(tape, pred_m, pred_l, pred_r, gt_m, gt_l, gt_r):
     return ad.add(tape, ad.add(tape, term_m, term_l), term_r)
 
 
+def loss_reconstruction_binned(tape, mixture, difference, sample):
+    """``loss_reconstruction`` of the masked mono magnitudes against the
+    targets of ``sample`` (a binaural training sample), from its per-bin
+    statistics: (sum_f S_f [(m - c_m)^2 + (l - c_l)^2 + (r - c_r)^2] + R)
+    / (F T), with the channel gains l = (m + d) / 2 and r = (m - d) / 2."""
+    left = ad.scale(tape, ad.add(tape, mixture, difference), 0.5)
+    right = ad.scale(tape, ad.sub(tape, mixture, difference), 0.5)
+    errors = [ad.sub(tape, gain, center) for gain, center in
+              ((mixture, sample.c_m), (left, sample.c_l), (right, sample.c_r))]
+    squared = ad.square(tape, ad.concat(tape, errors, axis=1))
+    weighted = ad.total(tape, ad.mul(tape, squared, sample.power))
+    return ad.scale(tape, ad.add(tape, weighted, sample.residual), 1.0 / sample.cells)
+
+
 def loss_volume(tape, alphas, active_indices):
     """Sum over the active rows of the (N, K) ``alphas`` of their |alpha| products."""
     active = np.asarray(active_indices, dtype=np.int64)
@@ -142,16 +168,72 @@ class TrainResult:
     final_dir: str
 
 
-class _BinauralSample:
-    __slots__ = ("sample_id", "pose", "mono_mag", "gt_m", "gt_l", "gt_r")
+_NN_BLOCK = 2 ** 15  # squared distances per block in nearest_distances
 
-    def __init__(self, sample_id, pose, mono_mag, gt_m, gt_l, gt_r):
+
+def nearest_distances(positions, indices):
+    """Distance from each point ``indices`` of ``positions`` (N, 3) to its
+    nearest other point, 1.0 when N = 1. Rows go in blocks of at most
+    ``_NN_BLOCK`` squared distances, summed one coordinate at a time from
+    zero: ((0 + dx^2) + dy^2) + dz^2, the order of the per-point
+    ``((positions - positions[i]) ** 2).sum(axis=1)``, so a duplicate point
+    reads 0.0 and every distance has the bits of a per-point loop."""
+    indices = np.asarray(indices, dtype=np.int64)
+    n = positions.shape[0]
+    if n == 1:
+        return np.ones(indices.size)
+    out = np.empty(indices.size)
+    block = max(1, _NN_BLOCK // n)
+    coords = positions.T.copy()  # (3, N): each coordinate contiguous
+    for lo in range(0, indices.size, block):
+        rows = coords[:, indices[lo:lo + block]]
+        d2 = np.zeros((rows.shape[1], n))
+        for coord, row in zip(coords, rows):
+            diff = coord - row[:, None]
+            diff *= diff
+            d2 += diff
+        out[lo:lo + block] = np.sqrt(np.partition(d2, 1, axis=1)[:, 1])
+    return out
+
+
+def _sum_squares(a):
+    return float(np.einsum("ft,ft->", a, a))
+
+
+class _BinauralSample:
+    """A binaural training perspective, reduced to what the reconstruction
+    loss reads: the per-bin mono power ``power`` = S (F, 1), shared by the
+    three targets; the least-squares gains ``c_m``, ``c_l``, ``c_r`` (F, 1)
+    of the mixture, left and right targets; ``residual``, the sum of R over
+    the three targets and all bins; and ``cells`` = F T. No (F, T) grid is
+    kept. R is summed from squares, not taken as sum G^2 - S c^2, so it
+    carries no cancellation either."""
+
+    __slots__ = ("sample_id", "pose", "power", "c_m", "c_l", "c_r", "residual", "cells")
+
+    def __init__(self, sample_id, pose, mono_mag, left_mag, right_mag):
         self.sample_id = sample_id
         self.pose = pose
-        self.mono_mag = mono_mag
-        self.gt_m = gt_m
-        self.gt_l = gt_l
-        self.gt_r = gt_r
+        power = np.einsum("ft,ft->f", mono_mag, mono_mag)[:, None]
+        # a silent bin's cross sum is an exact 0, so dividing it by 1 gives c = 0
+        divisor = np.where(power == 0.0, 1.0, power)
+        centers, misfits = [], []
+        for target in (left_mag, right_mag):
+            center = np.einsum("ft,ft->f", mono_mag, target)[:, None] / divisor
+            misfit = np.multiply(center, mono_mag)
+            np.subtract(target, misfit, out=misfit)
+            centers.append(center)
+            misfits.append(misfit)
+        self.power = Tensor(power)
+        self.c_l, self.c_r = (Tensor(c) for c in centers)
+        # the mixture target is the channels' sum, so its gain and its misfit
+        # are the sums of theirs: no third pass over the grids
+        self.c_m = Tensor(mixture_magnitude(*centers))
+        e_l, e_r = misfits
+        residual = _sum_squares(e_l) + _sum_squares(e_r)
+        e_l += e_r  # now the mixture's misfit
+        self.residual = residual + _sum_squares(e_l)
+        self.cells = mono_mag.size
 
 
 class _EarSample:
@@ -204,17 +286,9 @@ class Trainer:
         if self.config.mode == "binaural":
             for rec in records:
                 s = self.dataset.sample(rec)
-                mono_mag = stft(s.mono, self.config.window, self.config.hop).magnitudes()
-                left_mag = stft(s.left, self.config.window, self.config.hop).magnitudes()
-                right_mag = stft(s.right, self.config.window, self.config.hop).magnitudes()
-                cache.append(_BinauralSample(
-                    sample_id=s.sample_id,
-                    pose=s.pose,
-                    mono_mag=Tensor(mono_mag),
-                    gt_m=Tensor(mixture_magnitude(left_mag, right_mag)),
-                    gt_l=Tensor(left_mag),
-                    gt_r=Tensor(right_mag),
-                ))
+                mags = [stft(w, self.config.window, self.config.hop).magnitudes()
+                        for w in (s.mono, s.left, s.right)]
+                cache.append(_BinauralSample(s.sample_id, s.pose, *mags))
         else:
             for rec in records:
                 s = self.dataset.sample(rec)
@@ -240,12 +314,7 @@ class Trainer:
         if self.config.mode == "binaural":
             ctx = model.context(tape, sample.pose)
             mixture, difference, _ = model.mask_tensors(tape, sample.pose, context=ctx)
-            pred_m = ad.mul(tape, mixture, sample.mono_mag)
-            pred_d = ad.mul(tape, difference, sample.mono_mag)
-            pred_l = ad.scale(tape, ad.add(tape, pred_m, pred_d), 0.5)
-            pred_r = ad.scale(tape, ad.sub(tape, pred_m, pred_d), 0.5)
-            l_m = loss_reconstruction(tape, pred_m, pred_l, pred_r,
-                                      sample.gt_m, sample.gt_l, sample.gt_r)
+            l_m = loss_reconstruction_binned(tape, mixture, difference, sample)
         else:
             n_full = sample.gt_ir.size
             batch = min(self.config.rir_time_batch, n_full)
@@ -279,10 +348,10 @@ class Trainer:
         n_new = significant.size
         new_positions = np.empty((n_new, 3))
         new_alphas = np.empty((n_new, self.model.field.alpha_dim))
+        spacing = nearest_distances(positions, significant)
         for row, i in enumerate(significant):
-            d2 = ((positions - positions[i]) ** 2).sum(axis=1)
-            nn = float(np.sqrt(np.partition(d2, 1)[1])) if d2.size > 1 else 1.0
-            new_positions[row] = positions[i] + self.rng.standard_normal(3) * max(nn, 1e-6)
+            new_positions[row] = (positions[i]
+                                  + self.rng.standard_normal(3) * max(spacing[row], 1e-6))
             new_alphas[row] = self.rng.uniform(-0.01, 0.01, size=(1, new_alphas.shape[1]))
         if n_new:
             self.model.add_points(new_positions, new_alphas)
@@ -293,11 +362,9 @@ class Trainer:
 
     def prune(self):
         """Drop isolated points; optimizer state and statistics follow."""
-        # the live arrays, not point_set()'s copies: pruning only reads them
-        points = AudioPointSet(positions=self.model.positions, alpha=self.model.alphas.data)
         try:
-            _, removed = prune_outliers(points, self.config.prune_min_neighbors,
-                                        self.config.prune_radius)
+            removed = outlier_indices(self.model.positions, self.config.prune_min_neighbors,
+                                      self.config.prune_radius)
         except ContractViolation:
             log.warning("every point is an outlier; skipping this pruning pass")
             return 0

@@ -119,6 +119,40 @@ def test_row_steps_equal_per_tensor_steps_bit_for_bit():
     assert len({r["t"] for r in case.rows}) > 2
 
 
+def out_of_place_step(opt, p, m, v, t, g, rows):
+    """Reference: the out-of-place update of the parameter's ``rows``, the
+    formula the in-place step must reproduce byte for byte."""
+    g = g[rows]
+    t[rows] += 1
+    m_rows = opt.beta1 * m[rows] + (1.0 - opt.beta1) * g
+    v_rows = opt.beta2 * v[rows] + (1.0 - opt.beta2) * (g * g)
+    m[rows] = m_rows
+    v[rows] = v_rows
+    shape = (-1,) + (1,) * (p.ndim - 1)
+    c1 = np.array([1.0 - opt.beta1 ** int(s) for s in t[rows]]).reshape(shape)
+    c2 = np.array([1.0 - opt.beta2 ** int(s) for s in t[rows]]).reshape(shape)
+    p[rows] = p[rows] - opt.lr * (m_rows / c1) / (np.sqrt(v_rows / c2) + opt.eps)
+
+
+@pytest.mark.parametrize("row_steps", [False, True])
+def test_in_place_step_is_byte_equal_to_out_of_place_formula(row_steps):
+    rng = np.random.default_rng(21)
+    params = [make_param(rng.standard_normal((9, 4))), make_param(rng.standard_normal(9))]
+    opt = Adam(params, lr=2e-3)
+    ref = [(p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape),
+            np.zeros(9, dtype=np.int64)) for p in params]
+    for _ in range(40):
+        grads = {p: rng.standard_normal(p.data.shape) for p in params}
+        rows = (np.sort(rng.choice(9, size=int(rng.integers(1, 10)), replace=False))
+                if row_steps else None)
+        opt.step(grads, rows)
+        for p, state in zip(params, ref):
+            out_of_place_step(opt, *state, grads[p], slice(None) if rows is None else rows)
+    for p, (data, m, v, t), (m_got, v_got, t_got) in zip(params, ref, opt.state_arrays()):
+        for got, want in ((p.data, data), (m_got, m), (v_got, v), (t_got, t)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_reindex_appends_and_drops_rows():
     rng = np.random.default_rng(12)
     case = RowCase(rng, n=5, k=3)

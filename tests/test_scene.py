@@ -5,7 +5,7 @@ import pytest
 
 from gsaudio.errors import ConfigError, ContractViolation, DataError, SchemaError
 from gsaudio.kdtree import brute_force_knn
-from gsaudio.scene import (AudioPointSet, Pose, alpha_width,
+from gsaudio.scene import (AudioPointSet, Pose, alpha_width, outlier_indices,
                            covariance_from_gaussian, init_audio_points,
                            load_audio_points, load_gaussian_cloud, project_covariance,
                            prune_outliers, quaternion_rotation, save_audio_points,
@@ -285,6 +285,7 @@ def test_prune_matches_quadratic_oracle(trial):
         if count < 3:
             expect.append(i)
     assert np.array_equal(removed, expect)
+    assert np.array_equal(outlier_indices(positions, min_neighbors=3, radius=0.25), expect)
     assert len(retained) == n - len(expect)
 
 
@@ -294,6 +295,8 @@ def test_prune_refuses_to_empty_the_set():
     pts = AudioPointSet(positions=positions, alpha=np.zeros((10, 1)))
     with pytest.raises(ContractViolation):
         prune_outliers(pts, min_neighbors=3, radius=0.1)
+    with pytest.raises(ContractViolation):
+        outlier_indices(positions, min_neighbors=3, radius=0.1)
 
 
 # --- pose ---

@@ -8,9 +8,10 @@ from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.errors import ConfigError, ContractViolation
 from gsaudio.kdtree import KDTree
 from gsaudio.roomsim import ShoeboxRoom
-from gsaudio.training import (GradStats, TrainConfig, Trainer, codec_baselines,
-                              loss_reconstruction, loss_volume, mixture_magnitude,
-                              total_loss)
+from gsaudio.training import (GradStats, TrainConfig, Trainer, _BinauralSample,
+                              codec_baselines, loss_reconstruction,
+                              loss_reconstruction_binned, loss_volume, mixture_magnitude,
+                              nearest_distances, total_loss)
 
 ROOM = ShoeboxRoom([6.0, 4.0, 3.0], 0.7)
 
@@ -73,6 +74,112 @@ def test_loss_reconstruction_shape_mismatch():
     b = Tensor(np.zeros((3, 4)))
     with pytest.raises(ContractViolation):
         loss_reconstruction(Tape(), a, a, a, b, b, b)
+
+
+def dense_reconstruction(tape, mixture, difference, mono_mag, left_mag, right_mag):
+    """The dense reference: ``loss_reconstruction`` on the (F, T) grids."""
+    pred_m = ad.mul(tape, mixture, mono_mag)
+    pred_d = ad.mul(tape, difference, mono_mag)
+    pred_l = ad.scale(tape, ad.add(tape, pred_m, pred_d), 0.5)
+    pred_r = ad.scale(tape, ad.sub(tape, pred_m, pred_d), 0.5)
+    return loss_reconstruction(tape, pred_m, pred_l, pred_r,
+                               mixture_magnitude(left_mag, right_mag), left_mag, right_mag)
+
+
+def random_grids(rng, n_bins=257, frames=24):
+    mono_mag = rng.uniform(0.0, 1.0, (n_bins, frames))
+    mono_mag[7] = 0.0  # a silent bin: S_f = 0, so c_f = 0
+    return mono_mag, rng.uniform(0.0, 0.8, (n_bins, frames)), rng.uniform(0.0, 0.8, (n_bins, frames))
+
+
+def binned_and_dense(mixture, difference, grids):
+    """(value, gradients) of the binned loss and of the dense reference."""
+    sample = _BinauralSample("s", None, *grids)
+    out = []
+    for loss in (lambda tape, m, d: loss_reconstruction_binned(tape, m, d, sample),
+                 lambda tape, m, d: dense_reconstruction(tape, m, d, *grids)):
+        m = Tensor(mixture, param=True)
+        d = Tensor(difference, param=True)
+        tape = Tape()
+        value = loss(tape, m, d)
+        grads = tape.backward(value)
+        out.append((float(value.data), grads[m], grads[d]))
+    return out
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_binned_loss_matches_dense_loss(seed):
+    # pinned: 1e-14 relative on the value, 1e-13 of each gradient's max |value|
+    rng = np.random.default_rng(seed)
+    grids = random_grids(rng)
+    mixture = rng.uniform(0.0, 2.0, (257, 1))
+    difference = rng.uniform(-1.0, 1.0, (257, 1))
+    (value, g_m, g_d), (ref, ref_m, ref_d) = binned_and_dense(mixture, difference, grids)
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+    for got, want in ((g_m, ref_m), (g_d, ref_d)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the silent bin gets no gradient from either loss
+    assert g_m[7, 0] == 0.0 and g_d[7, 0] == 0.0
+
+
+def test_binned_loss_at_exact_fit_is_the_residual():
+    rng = np.random.default_rng(8)
+    grids = random_grids(rng)
+    sample = _BinauralSample("s", None, *grids)
+    # the gains that solve every bin's least squares: m = c_m, (m + d) / 2 = c_l,
+    # (m - d) / 2 = c_r; c_m = c_l + c_r since the mixture target is left + right
+    mixture = sample.c_m.data
+    difference = sample.c_l.data - sample.c_r.data
+    (value, _, _), (ref, _, _) = binned_and_dense(mixture, difference, grids)
+    floor = sample.residual / sample.cells
+    assert sample.residual > 0.0
+    assert abs(value - floor) <= 1e-14 * floor
+    assert abs(ref - floor) <= 1e-14 * floor
+
+
+def test_train_step_loss_matches_finite_differences():
+    # the loss train_step minimises, binned reconstruction plus the volume
+    # term, differentiated with respect to every parameter along a random
+    # direction: a central difference of L(p + h u) against grad . u
+    from gsaudio.binauralizer import MaskNetwork
+    from gsaudio.field import FieldNetwork, pooled_context
+    from gsaudio.scene import Pose
+
+    rng = np.random.default_rng(56)
+    positions = rng.uniform(0.5, 3.0, (5, 3))
+    alphas = Tensor(rng.standard_normal((5, 52)) * 0.4, param=True)
+    field = FieldNetwork(alpha_dim=52, rng=rng)
+    masknet = MaskNetwork(mode="binaural", rng=rng)
+    # generic weights for the difference head, as in acceptance criterion 1
+    masknet.m4[0].data = masknet.m4[0].data * 1e3
+    sample = _BinauralSample("s", None, *random_grids(rng, frames=8))
+    pose = Pose.from_yaw([2.5, 1.0, 1.0], 0.4)
+    source = np.array([1.0, 2.5, 1.5])
+
+    def step_loss(tape):
+        ctx = pooled_context(tape, field, positions, alphas, pose, source, 100.0)
+        mixture, difference = masknet.mask_tensors(tape, np.array([0.4, 0.3]), 0.4, ctx, 257)
+        l_m = loss_reconstruction_binned(tape, mixture, difference, sample)
+        return total_loss(tape, l_m, loss_volume(tape, alphas, np.arange(5)), 0.01)
+
+    tape = Tape()
+    grads = tape.backward(step_loss(tape))
+    params = [alphas] + field.params() + masknet.params()
+    assert set(grads) == set(params)
+    for p in params:
+        direction = rng.standard_normal(p.data.shape)
+        analytic = float(np.sum(grads[p] * direction))
+        keep = p.data
+        best = np.inf
+        for h in (1e-5, 1e-6, 1e-7):  # a step across a relu kink recovers at a smaller one
+            p.data = keep + h * direction
+            hi = float(step_loss(Tape()).data)
+            p.data = keep - h * direction
+            lo = float(step_loss(Tape()).data)
+            p.data = keep
+            fd = (hi - lo) / (2.0 * h)
+            best = min(best, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-12))
+        assert best <= 1e-5, (p.name, analytic, best)
 
 
 def test_loss_volume_all_ones():
@@ -211,6 +318,28 @@ def test_densified_alpha_in_init_range(small_dataset):
     assert np.all(np.abs(new_alpha) <= 0.01)
 
 
+def per_point_nearest(positions, indices):
+    """Reference: the per-point loop densify ran before the blocked pass."""
+    out = []
+    for i in indices:
+        d2 = ((positions - positions[i]) ** 2).sum(axis=1)
+        out.append(float(np.sqrt(np.partition(d2, 1)[1])) if d2.size > 1 else 1.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1100, 40000])
+def test_nearest_distances_match_per_point_loop(n):
+    rng = np.random.default_rng(n)
+    positions = rng.uniform(0.0, 6.0, (n, 3))
+    positions[0] = positions[n - 1]  # a duplicate point (itself when n = 1)
+    # 1100 points take 29 rows per block, so 300 rows span 11 blocks; 40000
+    # points exceed a block's distances and go one row at a time
+    indices = np.union1d(rng.choice(n, size=min(n, 300), replace=False), [n - 1])
+    got = nearest_distances(positions, indices)
+    assert np.array_equal(got, per_point_nearest(positions, indices))
+    assert got[-1] == (1.0 if n == 1 else 0.0)
+
+
 # --- single steps ---
 
 def test_descent_on_frozen_sample(small_dataset):
@@ -233,8 +362,7 @@ def test_points_outside_vicinity_get_no_gradient(small_dataset):
     model = trainer.model
     ctx = model.context(tape, sample.pose)
     mixture, difference, _ = model.mask_tensors(tape, sample.pose, context=ctx)
-    pred_m = ad.mul(tape, mixture, sample.mono_mag)
-    loss = ad.mse(tape, pred_m, sample.gt_m)
+    loss = loss_reconstruction_binned(tape, mixture, difference, sample)
     grads = tape.backward(loss)
     active = np.union1d(ctx.listener_indices, ctx.source_indices)
     outside = np.setdiff1d(np.arange(model.point_count), active)
@@ -248,6 +376,19 @@ def test_points_outside_vicinity_get_no_gradient(small_dataset):
     assert np.array_equal(model.alphas.data[outside], before[outside])
     assert np.all(m[outside] == 0.0) and np.all(v[outside] == 0.0)
     assert np.all(t[outside] == 0) and np.all(t[active] == 1)
+
+
+def test_binaural_cache_holds_no_frame_grid(small_dataset):
+    trainer = make_trainer(small_dataset)
+    n_bins = trainer.config.window // 2 + 1
+    assert trainer._train_cache
+    for sample in trainer._train_cache:
+        for slot in _BinauralSample.__slots__:
+            value = getattr(sample, slot)
+            shape = np.shape(value.data if isinstance(value, Tensor) else value)
+            if shape:  # every array holds one value per bin
+                assert shape == (n_bins, 1), (slot, shape)
+        assert sample.cells % n_bins == 0 and sample.cells > n_bins
 
 
 def test_gradient_statistics_are_per_point_gradient_norms(small_dataset, monkeypatch):
