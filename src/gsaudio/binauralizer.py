@@ -19,17 +19,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_weights, save_weights
+from .checkpoint import load_weights, save_weights, set_weights
 from .dsp import Spectrogram, Waveform, istft, stft
 from .errors import ConfigError, ContractViolation
-from .field import SceneContext
+from .field import CONTEXT_WIDTH
 
 log = logging.getLogger("gsaudio.binauralizer")
 
 ENCODING_LEVELS = 10
 WIDTH_BINAURAL = 128
 WIDTH_RIR = 256
-CONTEXT_DIM = 128
+CONTEXT_DIM = 2 * CONTEXT_WIDTH  # the source half, then the listener half
 
 
 def positional_encoding(values, levels=ENCODING_LEVELS):
@@ -54,7 +54,7 @@ def transform_direction(theta):
 _DIRECTION_SCALE = 0.35
 
 
-def _encode_direction(theta, levels):
+def _encode_direction(theta, levels=ENCODING_LEVELS):
     """Encode the unit-circle pair scaled by 0.35 before the sinusoids.
 
     sin(2^l pi x) vanishes at every integer x and cos is even, so the raw
@@ -99,7 +99,9 @@ def _encoding_column_scale(levels, falloff=0.5):
 
 
 class MaskNetwork:
-    """The binauralizer network B; ``mode`` is "binaural" or "rir".
+    """The binauralizer network B; ``mode`` is "binaural" or "rir". It reads
+    a (1, CONTEXT_DIM) context and ``ENCODING_LEVELS`` sinusoid levels per
+    encoded coordinate; only the mode sets the width.
 
     The first layers take column blocks (``ad.dense``). Per row vary only
     the frequency encoding (MLP-1, binaural), the features (MLP-2,
@@ -107,28 +109,26 @@ class MaskNetwork:
     and direction blocks are one row per request, multiplied once.
     """
 
-    def __init__(self, mode="binaural", context_dim=CONTEXT_DIM, levels=ENCODING_LEVELS,
-                 rng=None, seed=None):
+    def __init__(self, mode="binaural", rng=None, seed=None):
         if mode not in ("binaural", "rir"):
             raise ConfigError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.context_dim = int(context_dim)
-        self.levels = int(levels)
         self.seed = seed
         self.width = WIDTH_BINAURAL if mode == "binaural" else WIDTH_RIR
         if rng is None:
             rng = np.random.default_rng(seed)
+        levels = ENCODING_LEVELS
         pos_enc = 2 * 2 * levels  # (x, y)
         scalar_enc = 2 * levels  # f/F or t/T
         dir_enc = 2 * 2 * levels  # (sin theta, cos theta)
-        in1 = pos_enc + self.context_dim + (scalar_enc if mode == "binaural" else 0)
+        in1 = pos_enc + CONTEXT_DIM + (scalar_enc if mode == "binaural" else 0)
         in2 = self.width + dir_enc + (scalar_enc if mode == "rir" else 0)
         w = self.width
         # the impulse-response head regresses a band-limited waveform; a
         # steeper falloff keeps its top encoding levels quiet so the late
         # tail cannot ring
         coord = _encoding_column_scale(levels, falloff=0.5 if mode == "binaural" else 1.0)
-        blocks1 = [coord, coord] + ([coord] if mode == "binaural" else []) + [np.ones(self.context_dim)]
+        blocks1 = [coord, coord] + ([coord] if mode == "binaural" else []) + [np.ones(CONTEXT_DIM)]
         blocks2 = [np.ones(w), coord, coord] + ([coord] if mode == "rir" else [])
         self.l1 = _linear_init(rng, in1, w, "mlp1.l1", column_scale=np.concatenate(blocks1))
         self.l2 = _linear_init(rng, w, w, "mlp1.l2")
@@ -173,40 +173,40 @@ class MaskNetwork:
         return ad.sub(tape, ad.scale(tape, ad.sigmoid(tape, z), 2.0), Tensor(np.array(1.0)))
 
     def mask_tensors(self, tape, xy01, theta, context, n_bins):
-        """In-graph masks for all ``n_bins`` frequency rows.
+        """In-graph masks for all ``n_bins`` frequency rows from the
+        (1, CONTEXT_DIM) ``context`` tensor.
 
         Returns (mixture (n_bins, 1), difference (n_bins, 1)).
         """
         if self.mode != "binaural":
             raise ConfigError("mask query requires binaural mode")
-        ctx = context.tensor if isinstance(context, SceneContext) else context
         f_norm = np.arange(n_bins) / max(n_bins - 1, 1)
-        enc_xy = Tensor(positional_encoding(xy01, self.levels)[None, :])
-        enc_f = Tensor(positional_encoding(f_norm[:, None], self.levels))
-        feats = self.features(tape, [enc_xy, enc_f, ctx])
+        enc_xy = Tensor(positional_encoding(xy01)[None, :])
+        enc_f = Tensor(positional_encoding(f_norm[:, None]))
+        feats = self.features(tape, [enc_xy, enc_f, context])
         mixture = ad.scale(tape, ad.sigmoid(tape, ad.dense(tape, feats, *self.mix_proj)), 2.0)
-        enc_dir = Tensor(_encode_direction(theta, self.levels)[None, :])
+        enc_dir = Tensor(_encode_direction(theta)[None, :])
         difference = self._head(tape, [feats, enc_dir])
         return mixture, difference
 
     def rir_tensor(self, tape, xy01, theta, context, times01):
         """In-graph impulse-response amplitudes for normalized times
-        ``times01`` (shape (T,)). Returns a (T, 1) tensor in (-1, 1)."""
+        ``times01`` (shape (T,)) from the (1, CONTEXT_DIM) ``context``
+        tensor. Returns a (T, 1) tensor in (-1, 1)."""
         if self.mode != "rir":
             raise ConfigError("impulse-response head requires rir mode")
-        ctx = context.tensor if isinstance(context, SceneContext) else context
-        enc_xy = Tensor(positional_encoding(xy01, self.levels)[None, :])
-        feats = self.features(tape, [enc_xy, ctx])  # (1, width)
-        enc_dir = Tensor(_encode_direction(theta, self.levels)[None, :])
+        enc_xy = Tensor(positional_encoding(xy01)[None, :])
+        feats = self.features(tape, [enc_xy, context])  # (1, width)
+        enc_dir = Tensor(_encode_direction(theta)[None, :])
         t = np.asarray(times01, dtype=np.float64).reshape(-1, 1)
-        enc_t = Tensor(positional_encoding(t, self.levels))
+        enc_t = Tensor(positional_encoding(t))
         return self._head(tape, [feats, enc_dir, enc_t])
 
     def save(self, path):
         header = {
             "kind": "binauralizer",
             "mode": self.mode,
-            "topology": {"context_dim": self.context_dim, "levels": self.levels,
+            "topology": {"context_dim": CONTEXT_DIM, "levels": ENCODING_LEVELS,
                          "width": self.width},
             "seed": self.seed,
         }
@@ -215,16 +215,8 @@ class MaskNetwork:
     @classmethod
     def load(cls, path):
         header, arrays = load_weights(path)
-        topo = header["topology"]
-        net = cls(mode=header["mode"], context_dim=topo["context_dim"],
-                  levels=topo["levels"], seed=header.get("seed"))
-        params = net.params()
-        if len(params) != len(arrays):
-            raise ContractViolation("checkpoint tensor count mismatch")
-        for p, arr in zip(params, arrays):
-            if p.data.shape != arr.shape:
-                raise ContractViolation(f"checkpoint shape mismatch for {p.name}")
-            p.data = arr
+        net = cls(mode=header["mode"], seed=header.get("seed"))
+        set_weights(net.params(), arrays)
         return net
 
 

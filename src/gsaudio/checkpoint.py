@@ -1,6 +1,8 @@
 """Network checkpoint file format: one JSON header line followed by the raw
 little-endian float64 weight buffer, tensors in header order. Writes go
-through a temp file and an atomic rename."""
+through a temp file and an atomic rename. A network's topology is fixed by
+its module constants, so ``set_weights`` rejects any file whose tensors do
+not match the network's parameters in count and shape."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContractViolation, DataError
 
 MAGIC = "gsaudio-weights"
 FORMAT_VERSION = 1
@@ -50,3 +52,15 @@ def load_weights(path):
                 raise DataError(f"{path}: truncated weight buffer")
             arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
     return header, arrays
+
+
+def set_weights(params, arrays):
+    """Give each parameter tensor of ``params`` its array from ``arrays``
+    (``load_weights`` order); the two must match in count and shapes."""
+    if len(params) != len(arrays):
+        raise ContractViolation(
+            f"checkpoint holds {len(arrays)} tensors, the network has {len(params)}")
+    for p, arr in zip(params, arrays):
+        if p.data.shape != arr.shape:
+            raise ContractViolation(f"checkpoint shape mismatch for {p.name}")
+        p.data = arr

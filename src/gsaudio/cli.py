@@ -32,6 +32,7 @@ def _pin_threads(argv):
 _pin_threads(sys.argv)
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import json  # noqa: E402
 import logging  # noqa: E402
 import time  # noqa: E402
@@ -137,31 +138,20 @@ def load_run_config(path=None, overrides=None):
     return cfg
 
 
-def train_config_from(cfg, mode=None, percentile=None, iterations=None, seed=None):
-    return TrainConfig(
-        mode=mode or cfg["mode"],
-        iterations=int(iterations if iterations is not None else cfg["iterations"]),
-        lambda_a=float(cfg["lambda_a"]),
-        lr_alpha=float(cfg["lr_alpha"]),
-        lr_nets=float(cfg["lr_nets"]),
-        densify_interval=int(cfg["densify_interval"]),
-        densify_threshold=float(cfg["densify_threshold"]),
-        prune_interval=int(cfg["prune_interval"]),
-        prune_min_neighbors=int(cfg["prune_min_neighbors"]),
-        prune_radius=float(cfg["prune_radius"]),
-        vicinity_percentile=float(percentile if percentile is not None else cfg["vicinity_percentile"]),
-        eval_interval=int(cfg["eval_interval"]),
-        seed=int(seed if seed is not None else cfg["seed"]),
-        window=int(cfg["window"]),
-        hop=int(cfg["hop"]),
-        rir_time_batch=int(cfg["rir_time_batch"]),
-    )
+def train_config_from(cfg, iterations=None, seed=None):
+    """The run config's ``TrainConfig`` fields, each coerced to its default's
+    type; ``iterations`` and ``seed`` override the config when given."""
+    overrides = {"iterations": iterations, "seed": seed}
+    return TrainConfig(**{
+        f.name: type(f.default)(cfg[f.name] if overrides.get(f.name) is None
+                                else overrides[f.name])
+        for f in dataclasses.fields(TrainConfig)})
 
 
-def build_model(dataset: Dataset, cfg, alpha_selection=None, percentile=None, mode=None):
+def build_model(dataset: Dataset, cfg, alpha_selection=None, percentile=None):
     """Fresh model for a dataset: points from the supplied splat PLY or a
-    synthesized uniform cloud, networks seeded from the run seed."""
-    mode = mode or cfg["mode"]
+    synthesized uniform cloud, networks seeded from the run seed. The model
+    owns the run config's mode, vicinity percentile, window and hop."""
     selection = tuple(alpha_selection if alpha_selection is not None else cfg["alpha_init"])
     build_rng = np.random.default_rng([int(cfg["seed"]), 17])
     if cfg["point_cloud"]:
@@ -171,7 +161,7 @@ def build_model(dataset: Dataset, cfg, alpha_selection=None, percentile=None, mo
         cloud = synthetic_cloud(lo, hi, int(cfg["init_points"]), build_rng)
     points = init_audio_points(cloud, selection)
     field = FieldNetwork(alpha_dim=alpha_width(selection), rng=build_rng, seed=int(cfg["seed"]))
-    masknet = MaskNetwork(mode=mode, rng=build_rng, seed=int(cfg["seed"]))
+    masknet = MaskNetwork(mode=cfg["mode"], rng=build_rng, seed=int(cfg["seed"]))
     lo, hi = dataset.bounds()
     return SceneModel(
         points=points, field=field, masknet=masknet, source=dataset.source,
@@ -324,12 +314,9 @@ def cmd_ablate(cfg):
         model = build_model(dataset, cfg,
                             alpha_selection=setting.get("selection"),
                             percentile=setting.get("percentile"))
-        train_cfg = train_config_from(cfg, percentile=setting.get("percentile"),
-                                      iterations=iterations)
-        trainer = Trainer(model, dataset, train_cfg)
+        trainer = Trainer(model, dataset, train_config_from(cfg, iterations=iterations))
         trainer.run(run_dir)
-        metrics = evaluate_binaural(trainer.model, dataset, "val",
-                                    train_cfg.window, train_cfg.hop)
+        metrics = evaluate_binaural(model, dataset, "val", model.window, model.hop)
         row = {"label": setting["label"], "mag": metrics["mag"], "env": metrics["env"]}
         if "dim" in setting:
             row["dim"] = setting["dim"]

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_weights, save_weights
+from .checkpoint import load_weights, save_weights, set_weights
 from .errors import ContractViolation
 from .scene import Pose, vicinity
 
@@ -38,23 +38,22 @@ def guidance_rows(positions, anchor):
 
 
 class FieldNetwork:
-    """55 -> 64 -> 64 MLP (relu after the hidden layer)."""
+    """55 -> 64 -> 64 MLP (relu after the hidden layer). Both widths are
+    ``CONTEXT_WIDTH``; only the alpha width varies with the alpha init."""
 
-    def __init__(self, alpha_dim=52, hidden=CONTEXT_WIDTH, context_dim=CONTEXT_WIDTH,
-                 rng=None, seed=None):
+    def __init__(self, alpha_dim=52, rng=None, seed=None):
         self.alpha_dim = int(alpha_dim)
-        self.hidden = int(hidden)
-        self.context_dim = int(context_dim)
         self.seed = seed
         in_dim = self.alpha_dim + GUIDANCE_DIM
+        width = CONTEXT_WIDTH
         if rng is None:
             rng = np.random.default_rng(seed)
-        self.w1 = Tensor(rng.standard_normal((in_dim, hidden)) * np.sqrt(2.0 / in_dim),
+        self.w1 = Tensor(rng.standard_normal((in_dim, width)) * np.sqrt(2.0 / in_dim),
                          param=True, name="field.w1")
-        self.b1 = Tensor(np.zeros(hidden), param=True, name="field.b1")
-        self.w2 = Tensor(rng.standard_normal((hidden, context_dim)) * np.sqrt(1.0 / hidden),
+        self.b1 = Tensor(np.zeros(width), param=True, name="field.b1")
+        self.w2 = Tensor(rng.standard_normal((width, width)) * np.sqrt(1.0 / width),
                          param=True, name="field.w2")
-        self.b2 = Tensor(np.zeros(context_dim), param=True, name="field.b2")
+        self.b2 = Tensor(np.zeros(width), param=True, name="field.b2")
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -71,8 +70,8 @@ class FieldNetwork:
     def save(self, path):
         header = {
             "kind": "field",
-            "topology": {"alpha_dim": self.alpha_dim, "hidden": self.hidden,
-                         "context_dim": self.context_dim},
+            "topology": {"alpha_dim": self.alpha_dim, "hidden": CONTEXT_WIDTH,
+                         "context_dim": CONTEXT_WIDTH},
             "seed": self.seed,
         }
         save_weights(path, header, [(p.name, p.data) for p in self.params()])
@@ -80,13 +79,8 @@ class FieldNetwork:
     @classmethod
     def load(cls, path):
         header, arrays = load_weights(path)
-        topo = header["topology"]
-        net = cls(alpha_dim=topo["alpha_dim"], hidden=topo["hidden"],
-                  context_dim=topo["context_dim"], seed=header.get("seed"))
-        for p, arr in zip(net.params(), arrays):
-            if p.data.shape != arr.shape:
-                raise ContractViolation(f"checkpoint shape mismatch for {p.name}")
-            p.data = arr
+        net = cls(alpha_dim=header["topology"]["alpha_dim"], seed=header.get("seed"))
+        set_weights(net.params(), arrays)
         return net
 
 
@@ -111,7 +105,7 @@ class SceneContext:
 
 def anchor_context(tape, net: FieldNetwork, positions, alphas, anchor, percentile):
     """Mean per-point context over the vicinity of ``anchor``: returns the
-    (1, context_dim) tensor and the vicinity indices."""
+    (1, CONTEXT_WIDTH) tensor and the vicinity indices."""
     indices = vicinity(positions, anchor, percentile)
     if indices.size == 0:
         raise ContractViolation("empty vicinity")

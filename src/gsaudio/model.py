@@ -109,10 +109,13 @@ class SceneModel:
         return self._source_half
 
     def mask_tensors(self, tape, pose: Pose, context=None):
+        """(mixture, difference, context) for ``pose``; the context is
+        computed on ``tape`` unless a ``SceneContext`` is given."""
         ctx = self.context(tape, pose) if context is None else context
         xy01 = normalize_position(pose.position, self.bounds)
         n_bins = self.window // 2 + 1
-        mixture, difference = self.masknet.mask_tensors(tape, xy01, pose.heading(), ctx, n_bins)
+        mixture, difference = self.masknet.mask_tensors(tape, xy01, pose.heading(), ctx.tensor,
+                                                        n_bins)
         return mixture, difference, ctx
 
     def masks(self, pose: Pose, context=None) -> AcousticMasks:
@@ -125,10 +128,11 @@ class SceneModel:
             raise ConfigError("render requires a binaural-mode model")
         return binauralize(mono, self.masks(pose), self.window, self.hop)
 
-    def rir_tensor(self, tape, pose: Pose, times01, context=None):
-        ctx = self.context(tape, pose) if context is None else context
+    def rir_tensor(self, tape, pose: Pose, times01):
+        """(amplitudes, context) for ``pose`` at the normalized ``times01``."""
+        ctx = self.context(tape, pose)
         xy01 = normalize_position(pose.position, self.bounds)
-        return self.masknet.rir_tensor(tape, xy01, pose.heading(), ctx, times01), ctx
+        return self.masknet.rir_tensor(tape, xy01, pose.heading(), ctx.tensor, times01), ctx
 
     def predict_ir(self, pose: Pose, n_samples) -> ImpulseResponse:
         if self.mode != "rir":

@@ -17,6 +17,10 @@ R_f = sum_t (G_ft - c_f M_ft)^2. Both terms are non-negative, so the sum has
 no cancellation. The training cache keeps only S, the three c and the
 scalar sum of R per sample, and a step evaluates the loss on (F, 1) gains
 instead of (F, T) grids.
+
+Each setting has one owner. The ``SceneModel`` owns the mode, the vicinity
+percentile and the STFT window and hop; ``TrainConfig`` holds the
+optimisation schedule, and the Adam moments keep ``Adam``'s defaults.
 """
 
 from __future__ import annotations
@@ -49,20 +53,18 @@ METRICS_SCHEMA_VERSION = 1
 
 @dataclass
 class TrainConfig:
-    mode: str = "binaural"
+    """The optimisation schedule. ``window`` and ``hop`` must equal the
+    model's, which ``Trainer`` checks."""
+
     iterations: int = 2000
     lambda_a: float = 0.01
     lr_alpha: float = 1.6e-4
     lr_nets: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     densify_interval: int = 500
     densify_threshold: float = 0.0004
     prune_interval: int = 3000
     prune_min_neighbors: int = 8
     prune_radius: float = 0.1
-    vicinity_percentile: float = 15.0
     eval_interval: int = 200
     seed: int = 0
     window: int = 512
@@ -70,8 +72,6 @@ class TrainConfig:
     rir_time_batch: int = 1024
 
     def __post_init__(self):
-        if self.mode not in ("binaural", "rir"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.lambda_a <= 1.0:
             raise ConfigError("lambda_a must lie in [0, 1]")
         for name in ("iterations", "eval_interval", "prune_min_neighbors", "rir_time_batch"):
@@ -80,8 +80,6 @@ class TrainConfig:
         for name in ("lr_alpha", "lr_nets", "prune_radius", "densify_threshold"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.vicinity_percentile <= 100.0:
-            raise ConfigError("vicinity_percentile must lie in (0, 100]")
 
 
 # --- loss terms ---
@@ -259,18 +257,20 @@ def ear_perspectives(sample):
 
 
 class Trainer:
+    """Trains ``model`` in its own mode on ``dataset`` with the schedule ``config``."""
+
     def __init__(self, model: SceneModel, dataset: Dataset, config: TrainConfig):
-        if model.mode != config.mode:
-            raise ConfigError(f"model mode {model.mode!r} != config mode {config.mode!r}")
+        for name in ("window", "hop"):
+            ours, theirs = getattr(config, name), getattr(model, name)
+            if ours != theirs:
+                raise ConfigError(f"config {name} {ours} differs from the model's {theirs}")
         self.model = model
         self.dataset = dataset
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.stats = GradStats(model.point_count)
-        self.opt_nets = Adam(model.network_params(), lr=config.lr_nets,
-                             beta1=config.beta1, beta2=config.beta2, eps=config.eps)
-        self.opt_alpha = Adam([model.alphas], lr=config.lr_alpha,
-                              beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+        self.opt_nets = Adam(model.network_params(), lr=config.lr_nets)
+        self.opt_alpha = Adam([model.alphas], lr=config.lr_alpha)
         self.iteration = 0
         self.best_value = float(np.inf)
         self.loss_trace = []
@@ -283,10 +283,10 @@ class Trainer:
     def _build_cache(self):
         cache = []
         records = self.dataset.records("train")
-        if self.config.mode == "binaural":
+        if self.model.mode == "binaural":
             for rec in records:
                 s = self.dataset.sample(rec)
-                mags = [stft(w, self.config.window, self.config.hop).magnitudes()
+                mags = [stft(w, self.model.window, self.model.hop).magnitudes()
                         for w in (s.mono, s.left, s.right)]
                 cache.append(_BinauralSample(s.sample_id, s.pose, *mags))
         else:
@@ -311,9 +311,8 @@ class Trainer:
             sample = self._train_cache[int(self.rng.integers(len(self._train_cache)))]
         tape = Tape()
         model = self.model
-        if self.config.mode == "binaural":
-            ctx = model.context(tape, sample.pose)
-            mixture, difference, _ = model.mask_tensors(tape, sample.pose, context=ctx)
+        if model.mode == "binaural":
+            mixture, difference, ctx = model.mask_tensors(tape, sample.pose)
             l_m = loss_reconstruction_binned(tape, mixture, difference, sample)
         else:
             n_full = sample.gt_ir.size
@@ -322,8 +321,7 @@ class Trainer:
                 idx = np.arange(n_full)
             else:
                 idx = np.sort(self.rng.choice(n_full, size=batch, replace=False))
-            ctx = model.context(tape, sample.pose)
-            amp, _ = model.rir_tensor(tape, sample.pose, idx / n_full, context=ctx)
+            amp, ctx = model.rir_tensor(tape, sample.pose, idx / n_full)
             l_m = ad.mse(tape, amp, Tensor(sample.gt_ir[idx][:, None]))
         active = np.union1d(ctx.listener_indices, ctx.source_indices)
         l_v = loss_volume(tape, model.alphas, active)
@@ -379,9 +377,9 @@ class Trainer:
     # --- evaluation ---
 
     def evaluate(self, split="val"):
-        if self.config.mode == "binaural":
+        if self.model.mode == "binaural":
             return evaluate_binaural(self.model, self.dataset, split,
-                                     self.config.window, self.config.hop)
+                                     self.model.window, self.model.hop)
         return evaluate_rir(self.model, self.dataset, split)
 
     # --- full loop ---
@@ -394,7 +392,7 @@ class Trainer:
         final_dir = os.path.join(out_dir, "final")
         resuming = self.iteration > 0
         eval_records = []
-        mode_metric = "mag" if config.mode == "binaural" else "t60_error_percent"
+        mode_metric = "mag" if self.model.mode == "binaural" else "t60_error_percent"
         handle = open(metrics_path, "a" if resuming else "w", encoding="utf-8")
 
         def emit(iteration):

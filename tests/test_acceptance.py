@@ -65,7 +65,7 @@ def test_criterion_1_gradient_suite():
 
     def loss_tensor(tape):
         ctx = pooled_context(tape, field, positions, alphas, pose, source, 100.0)
-        mixture, difference = masknet.mask_tensors(tape, listener_xy, theta, ctx, 257)
+        mixture, difference = masknet.mask_tensors(tape, listener_xy, theta, ctx.tensor, 257)
         pred_m = ad.mul(tape, mixture, mono_mag)
         pred_d = ad.mul(tape, difference, mono_mag)
         pred_l = ad.scale(tape, ad.add(tape, pred_m, pred_d), 0.5)

@@ -8,6 +8,7 @@ from gsaudio import autodiff as ad
 from gsaudio.binauralizer import (AcousticMasks, MaskNetwork, binauralize,
                                   normalize_position, positional_encoding,
                                   transform_direction)
+from gsaudio.checkpoint import save_weights
 from gsaudio.dsp import Spectrogram, Waveform, istft, stft
 from gsaudio.errors import ConfigError, ContractViolation
 from gsaudio.scene import Pose
@@ -400,3 +401,13 @@ def test_mask_checkpoint_round_trip(tmp_path):
     b = masks_of(back, pose, ctx)
     assert np.array_equal(a.mixture, b.mixture)
     assert np.array_equal(a.difference, b.difference)
+
+
+def test_partial_mask_checkpoint_rejected(tmp_path):
+    net = MaskNetwork(mode="binaural", seed=23)
+    path = tmp_path / "b.bin"
+    header = {"kind": "binauralizer", "mode": "binaural", "seed": 23,
+              "topology": {"context_dim": 128, "levels": 10, "width": 128}}
+    save_weights(path, header, [(p.name, p.data) for p in net.params()[:-1]])
+    with pytest.raises(ContractViolation, match="tensors"):
+        MaskNetwork.load(path)

@@ -249,3 +249,36 @@ def test_ablate_alpha_init_rows(tiny_dataset, tmp_path):
     assert by_label["S,SH,R,O"]["dim"] == 56
     for row in table["rows"]:
         assert "mag" in row and "env" in row
+
+
+def test_resume_with_another_window_is_config_error(tiny_run, tiny_dataset, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"window": 256, "hop": 64, "iterations": 60}))
+    proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset,
+                    "--out", tmp_path / "run", "--resume", tiny_run / "final"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "window" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_rir_checkpoint_resumes_without_mode(tmp_path):
+    data = tmp_path / "rir_data"
+    proc = run_cli(["gen-data", "--out", data, "--n", 6, "--seed", 4, "--with-rir",
+                    "--absorption", 0.7, "--ir-duration", 0.1])
+    assert proc.returncode == 0, proc.stderr
+    schedule = {"eval_interval": 2, "densify_interval": 0, "init_points": 64,
+                "rir_time_batch": 128, "seed": 0}
+    config = tmp_path / "rir.json"
+    config.write_text(json.dumps(dict(schedule, mode="rir", iterations=2)))
+    run = tmp_path / "run"
+    proc = run_cli(["train", "--config", config, "--dataset", data, "--out", run])
+    assert proc.returncode == 0, proc.stderr
+    config.write_text(json.dumps(dict(schedule, iterations=4)))  # no mode: binaural default
+    proc = run_cli(["train", "--config", config, "--dataset", data, "--out", run,
+                    "--resume", run / "final"])
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads((run / "metrics.jsonl").read_text().splitlines()[-1])
+    assert last["iteration"] == 4
+    assert "t60_error_percent" in last
+    assert json.loads((run / "final" / "config.json").read_text())["mode"] == "rir"

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
 from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tensor, finite_difference_check
+from gsaudio.checkpoint import save_weights
+from gsaudio.errors import ContractViolation
 from gsaudio.field import FieldNetwork, guidance_rows, pooled_context
 from gsaudio.scene import Pose
 
@@ -163,3 +166,25 @@ def test_field_checkpoint_round_trip(tmp_path):
     alpha = rng.standard_normal(52)
     g = guidance(rng.standard_normal(3), np.zeros(3))
     assert np.array_equal(forward_one(net, alpha, g), forward_one(back, alpha, g))
+
+
+def test_partial_field_checkpoint_rejected(tmp_path):
+    net = FieldNetwork(alpha_dim=52, seed=9)
+    path = tmp_path / "field.bin"
+    header = {"kind": "field", "seed": 9,
+              "topology": {"alpha_dim": 52, "hidden": 64, "context_dim": 64}}
+    save_weights(path, header, [(p.name, p.data) for p in net.params()[:3]])
+    with pytest.raises(ContractViolation, match="3 tensors"):
+        FieldNetwork.load(path)
+
+
+def test_field_checkpoint_of_another_width_rejected(tmp_path):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "field.bin"
+    shapes = {"field.w1": (55, 32), "field.b1": (32,), "field.w2": (32, 32), "field.b2": (32,)}
+    header = {"kind": "field", "seed": None,
+              "topology": {"alpha_dim": 52, "hidden": 32, "context_dim": 32}}
+    save_weights(path, header, [(name, rng.standard_normal(shape))
+                                for name, shape in shapes.items()])
+    with pytest.raises(ContractViolation, match="field.w1"):
+        FieldNetwork.load(path)

@@ -16,9 +16,10 @@ import pytest
 
 from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tape, Tensor
-from gsaudio.binauralizer import MaskNetwork, _encode_direction, positional_encoding
+from gsaudio.binauralizer import (ENCODING_LEVELS, MaskNetwork, _encode_direction,
+                                  positional_encoding)
 from gsaudio.dsp import Waveform, stft
-from gsaudio.field import FieldNetwork, SceneContext
+from gsaudio.field import FieldNetwork
 from gsaudio.model import SceneModel
 from gsaudio.scene import Pose, init_audio_points, synthetic_cloud
 from gsaudio.training import loss_reconstruction, loss_volume, total_loss
@@ -60,26 +61,25 @@ def reference_head(net, tape, x):
 
 
 def reference_mask_tensors(self, tape, xy01, theta, context, n_bins):
-    ctx = context.tensor if isinstance(context, SceneContext) else context
     f_norm = np.arange(n_bins) / max(n_bins - 1, 1)
-    enc_xy = np.tile(positional_encoding(xy01, self.levels), (n_bins, 1))
-    enc_f = positional_encoding(f_norm[:, None], self.levels)
-    x1 = ad.concat(tape, [Tensor(enc_xy), Tensor(enc_f), tiled_rows(tape, ctx, n_bins)], axis=1)
+    enc_xy = np.tile(positional_encoding(xy01, ENCODING_LEVELS), (n_bins, 1))
+    enc_f = positional_encoding(f_norm[:, None], ENCODING_LEVELS)
+    x1 = ad.concat(tape, [Tensor(enc_xy), Tensor(enc_f), tiled_rows(tape, context, n_bins)],
+                   axis=1)
     feats = reference_features(self, tape, x1)
     mixture = ad.scale(tape, ad.sigmoid(tape, unfused_layer(tape, self.mix_proj, feats)), 2.0)
-    enc_dir = np.tile(_encode_direction(theta, self.levels), (n_bins, 1))
+    enc_dir = np.tile(_encode_direction(theta, ENCODING_LEVELS), (n_bins, 1))
     x2 = ad.concat(tape, [feats, Tensor(enc_dir)], axis=1)
     return mixture, reference_head(self, tape, x2)
 
 
 def reference_rir_tensor(self, tape, xy01, theta, context, times01):
-    ctx = context.tensor if isinstance(context, SceneContext) else context
-    enc_xy = positional_encoding(xy01, self.levels)[None, :]
-    feats = reference_features(self, tape, ad.concat(tape, [Tensor(enc_xy), ctx], axis=1))
+    enc_xy = positional_encoding(xy01, ENCODING_LEVELS)[None, :]
+    feats = reference_features(self, tape, ad.concat(tape, [Tensor(enc_xy), context], axis=1))
     t = np.asarray(times01, dtype=np.float64).reshape(-1, 1)
     n = t.shape[0]
-    enc_dir = np.tile(_encode_direction(theta, self.levels), (n, 1))
-    enc_t = positional_encoding(t, self.levels)
+    enc_dir = np.tile(_encode_direction(theta, ENCODING_LEVELS), (n, 1))
+    enc_t = positional_encoding(t, ENCODING_LEVELS)
     x2 = ad.concat(tape, [tiled_rows(tape, feats, n), Tensor(enc_dir), Tensor(enc_t)], axis=1)
     return reference_head(self, tape, x2)
 
@@ -125,9 +125,8 @@ def binaural_step(model, pose, mono):
 def rir_step(model, pose, mono):
     """The forward and backward of an impulse-response train step."""
     tape = Tape()
-    ctx = model.context(tape, pose)
     times01 = np.sort(np.random.default_rng(10).choice(800, 96, replace=False)) / 800
-    amp, _ = model.rir_tensor(tape, pose, times01, context=ctx)
+    amp, ctx = model.rir_tensor(tape, pose, times01)
     target = np.random.default_rng(11).standard_normal((96, 1)) * 0.1
     active = np.union1d(ctx.listener_indices, ctx.source_indices)
     loss = total_loss(tape, ad.mse(tape, amp, Tensor(target)),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,7 +160,8 @@ def test_train_step_loss_matches_finite_differences():
 
     def step_loss(tape):
         ctx = pooled_context(tape, field, positions, alphas, pose, source, 100.0)
-        mixture, difference = masknet.mask_tensors(tape, np.array([0.4, 0.3]), 0.4, ctx, 257)
+        mixture, difference = masknet.mask_tensors(tape, np.array([0.4, 0.3]), 0.4, ctx.tensor,
+                                                   257)
         l_m = loss_reconstruction_binned(tape, mixture, difference, sample)
         return total_loss(tape, l_m, loss_volume(tape, alphas, np.arange(5)), 0.01)
 
@@ -241,7 +244,8 @@ def test_binauralizer_loss_alpha_gradient_on_five_point_scene():
 
     def loss(tape, alpha_block):
         ctx = pooled_context(tape, field, positions, alpha_block, pose, source, 100.0)
-        mixture, difference = masknet.mask_tensors(tape, np.array([0.4, 0.3]), 0.4, ctx, 257)
+        mixture, difference = masknet.mask_tensors(tape, np.array([0.4, 0.3]), 0.4, ctx.tensor,
+                                                   257)
         pred_l = ad.scale(tape, ad.add(tape, ad.mul(tape, mixture, mono_mag),
                                        ad.mul(tape, difference, mono_mag)), 0.5)
         return ad.mse(tape, pred_l, gt)
@@ -454,20 +458,21 @@ def test_pure_regularizer_run_shrinks_alpha(small_dataset):
     assert all(windows[i] > windows[i + 1] for i in range(len(windows) - 1))
 
 
-def test_mode_mismatch_rejected(small_dataset):
-    cfg = load_run_config(None, {"seed": 0, "init_points": 64})
-    model = build_model(small_dataset, cfg)  # binaural model
-    tcfg = train_config_from(cfg, mode="rir", iterations=10, seed=0)
-    with pytest.raises(ConfigError):
-        Trainer(model, small_dataset, tcfg)
-
-
 def test_rir_mode_requires_ir_files(small_dataset):
     cfg = load_run_config(None, {"seed": 0, "init_points": 64, "mode": "rir"})
-    model = build_model(small_dataset, cfg, mode="rir")
-    tcfg = train_config_from(cfg, mode="rir", iterations=10, seed=0)
+    model = build_model(small_dataset, cfg)
+    tcfg = train_config_from(cfg, iterations=10, seed=0)
     with pytest.raises(ConfigError):
         Trainer(model, small_dataset, tcfg)
+
+
+@pytest.mark.parametrize("name, value", [("window", 256), ("hop", 64)])
+def test_window_and_hop_must_match_the_model(small_dataset, name, value):
+    cfg = load_run_config(None, {"seed": 0, "init_points": 64})
+    tcfg = train_config_from(cfg, iterations=10, seed=0)
+    setattr(tcfg, name, value)
+    with pytest.raises(ConfigError, match=name):
+        Trainer(build_model(small_dataset, cfg), small_dataset, tcfg)
 
 
 # --- full runs ---
@@ -595,6 +600,10 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lambda_a=1.5)
     with pytest.raises(ConfigError):
-        TrainConfig(mode="surround")
-    with pytest.raises(ConfigError):
         TrainConfig(iterations=0)
+
+
+def test_train_config_defaults_match_the_cli_defaults():
+    from gsaudio.cli import _DEFAULTS
+    for f in dataclasses.fields(TrainConfig):
+        assert f.default == _DEFAULTS[f.name], f.name
