@@ -267,37 +267,35 @@ def absolute(tape, a):
     return _record(tape, "abs", (a,), np.abs(a.data), bwd)
 
 
-def concat(tape, tensors, axis=0):
+def concat(tape, tensors):
+    """Join tensors side by side, along axis 1."""
     tensors = tuple(_wrap(t) for t in tensors)
     if not tensors:
         raise ContractViolation("concat of zero tensors")
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
+    bounds = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, bounds, axis=axis))
+        return tuple(np.split(g, bounds, axis=1))
 
     return _record(tape, "concat", tensors,
-                   np.concatenate([t.data for t in tensors], axis=axis), bwd)
+                   np.concatenate([t.data for t in tensors], axis=1), bwd)
 
 
 def gather_rows(tape, a, indices):
-    """Rows ``indices`` of ``a`` (entries of its first axis), in that order;
-    an index may repeat. The backward pass scatter-adds into a dense zero
-    gradient of ``a``'s shape. Strictly increasing non-negative indices name
-    each row once, so a buffered ``+=`` gives the bits of ``np.add.at``
-    (0.0 + g, which turns -0.0 into +0.0) at a fraction of its cost."""
+    """Rows ``indices`` of ``a`` (entries of its first axis); the indices
+    must be 1-D, non-negative and strictly increasing, so each names one row
+    once. The backward pass adds the gradient into those rows of a dense
+    zero gradient of ``a``'s shape: 0.0 + g, the bits of ``np.add.at``
+    (which turns -0.0 into +0.0)."""
     a = _wrap(a)
     indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim != 1 or np.any(indices[:1] < 0) or np.any(indices[1:] <= indices[:-1]):
+        raise ContractViolation("gather_rows needs 1-D, non-negative, strictly increasing indices")
     shape = a.data.shape
 
     def bwd(g):
         full = np.zeros(shape)
-        if (indices.ndim == 1 and indices.size and indices[0] >= 0
-                and np.all(indices[1:] > indices[:-1])):
-            full[indices] += g
-        else:
-            np.add.at(full, indices, g)
+        full[indices] += g
         return (full,)
 
     return _record(tape, "gather_rows", (a,), a.data[indices], bwd)
@@ -317,18 +315,15 @@ def mean(tape, a, axis=None, keepdims=False):
     return _record(tape, "mean", (a,), a.data.mean(axis=axis, keepdims=keepdims), bwd)
 
 
-def total(tape, a, axis=None, keepdims=False):
-    """Sum reduction (named to avoid shadowing the builtin)."""
+def total(tape, a):
+    """Sum of every element (named to avoid shadowing the builtin)."""
     a = _wrap(a)
     shape = a.data.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.full(shape, g),)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, shape).copy(),)
+        return (np.full(shape, g),)
 
-    return _record(tape, "sum", (a,), a.data.sum(axis=axis, keepdims=keepdims), bwd)
+    return _record(tape, "sum", (a,), a.data.sum(), bwd)
 
 
 def row_prod(tape, a):

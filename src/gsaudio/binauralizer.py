@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_weights, save_weights, set_weights
-from .dsp import Spectrogram, Waveform, istft, stft
+from .dsp import HOP, WINDOW, Spectrogram, Waveform, istft, stft
 from .errors import ConfigError, ContractViolation
 from .field import CONTEXT_WIDTH
 
@@ -32,16 +32,15 @@ WIDTH_RIR = 256
 CONTEXT_DIM = 2 * CONTEXT_WIDTH  # the source half, then the listener half
 
 
-def positional_encoding(values, levels=ENCODING_LEVELS):
+def positional_encoding(values):
     """Sinusoidal encoding: per coordinate, (sin, cos) at frequencies
-    2^0 pi .. 2^(levels-1) pi. Output width = 2 * levels * len(values)."""
-    if levels < 1:
-        raise ContractViolation("levels must be >= 1")
+    2^0 pi .. 2^(L-1) pi with L = ENCODING_LEVELS. Output width =
+    2 * L * len(values)."""
     v = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    freqs = (2.0 ** np.arange(levels)) * np.pi
-    args = v[..., :, None] * freqs  # (..., len(v), levels)
-    enc = np.stack([np.sin(args), np.cos(args)], axis=-1)  # (..., len(v), levels, 2)
-    return enc.reshape(*v.shape[:-1], v.shape[-1] * levels * 2)
+    freqs = (2.0 ** np.arange(ENCODING_LEVELS)) * np.pi
+    args = v[..., :, None] * freqs  # (..., len(v), L)
+    enc = np.stack([np.sin(args), np.cos(args)], axis=-1)  # (..., len(v), L, 2)
+    return enc.reshape(*v.shape[:-1], v.shape[-1] * ENCODING_LEVELS * 2)
 
 
 def transform_direction(theta):
@@ -54,7 +53,7 @@ def transform_direction(theta):
 _DIRECTION_SCALE = 0.35
 
 
-def _encode_direction(theta, levels=ENCODING_LEVELS):
+def _encode_direction(theta):
     """Encode the unit-circle pair scaled by 0.35 before the sinusoids.
 
     sin(2^l pi x) vanishes at every integer x and cos is even, so the raw
@@ -62,7 +61,7 @@ def _encode_direction(theta, levels=ENCODING_LEVELS):
     indistinguishable. No power of two times 0.35 is an integer, so every
     sine level separates the two.
     """
-    return positional_encoding(_DIRECTION_SCALE * transform_direction(theta), levels)
+    return positional_encoding(_DIRECTION_SCALE * transform_direction(theta))
 
 
 @dataclass
@@ -90,11 +89,11 @@ def _linear_init(rng, fan_in, fan_out, name, column_scale=None, bias=0.0, gain=1
     )
 
 
-def _encoding_column_scale(levels, falloff=0.5):
+def _encoding_column_scale(falloff):
     """Per-column damping 2^(-falloff*l) for one encoded coordinate block, so
     the network starts smooth in that input and grows high-frequency terms
     only as the data demands them."""
-    level_idx = np.repeat(np.arange(levels), 2)
+    level_idx = np.repeat(np.arange(ENCODING_LEVELS), 2)
     return 2.0 ** (-falloff * level_idx)
 
 
@@ -127,7 +126,7 @@ class MaskNetwork:
         # the impulse-response head regresses a band-limited waveform; a
         # steeper falloff keeps its top encoding levels quiet so the late
         # tail cannot ring
-        coord = _encoding_column_scale(levels, falloff=0.5 if mode == "binaural" else 1.0)
+        coord = _encoding_column_scale(0.5 if mode == "binaural" else 1.0)
         blocks1 = [coord, coord] + ([coord] if mode == "binaural" else []) + [np.ones(CONTEXT_DIM)]
         blocks2 = [np.ones(w), coord, coord] + ([coord] if mode == "rir" else [])
         self.l1 = _linear_init(rng, in1, w, "mlp1.l1", column_scale=np.concatenate(blocks1))
@@ -230,7 +229,7 @@ def normalize_position(position, scene_bounds):
     return (position[:2] - lo) / span
 
 
-def binauralize(mono: Waveform, masks: AcousticMasks, window=512, hop=128):
+def binauralize(mono: Waveform, masks: AcousticMasks, window=WINDOW, hop=HOP):
     """Apply mixture/difference masks to the mono spectrogram and rebuild two
     channels with the mono signal's phase.
 

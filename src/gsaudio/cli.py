@@ -4,8 +4,8 @@ ablations, and benchmarking.
 Exit codes: 0 success, 1 usage/config, 2 numeric failure, 3 I/O. The
 GSAUDIO_LOG environment variable sets the log level. ``--threads N`` pins the
 BLAS thread pools (this must happen before numpy loads, which is why the
-module scans argv at import time); ``--threads 1`` is the bit-determinism
-contract.
+module scans argv at import time, and why it is read from argv only, never
+from a config file); ``--threads 1`` is the bit-determinism contract.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np  # noqa: E402
 
 from .binauralizer import MaskNetwork, binauralize  # noqa: E402
 from .dataset import Dataset, synth_dataset  # noqa: E402
-from .dsp import Waveform  # noqa: E402
+from .dsp import HOP, SAMPLE_RATE, WINDOW, Waveform  # noqa: E402
 from .errors import (ConfigError, ContractViolation, DataError, EvaluationError,  # noqa: E402
                      GeometryError, GsAudioError, SchemaError)
 from .field import FieldNetwork  # noqa: E402
@@ -68,7 +68,6 @@ VICINITY_ABLATION_PERCENTILES = (5.0, 10.0, 15.0, 20.0, 25.0)
 _DEFAULTS = {
     "mode": "binaural",
     "seed": 0,
-    "threads": None,
     "out": None,
     "dataset": None,
     "point_cloud": None,
@@ -87,8 +86,8 @@ _DEFAULTS = {
     "prune_radius": 0.1,
     "vicinity_percentile": 15.0,
     "eval_interval": 200,
-    "window": 512,
-    "hop": 128,
+    "window": WINDOW,
+    "hop": HOP,
     "rir_time_batch": 1024,
     "init_points": 512,
     "alpha_init": ["SH", "R"],
@@ -98,7 +97,7 @@ _DEFAULTS = {
     "max_order": 3,
     "n_samples": 100,
     "signal": "pink",
-    "sample_rate": 22050,
+    "sample_rate": SAMPLE_RATE,
     "duration": 1.0,
     "ir_duration": 0.5,
     "source": None,
@@ -138,14 +137,13 @@ def load_run_config(path=None, overrides=None):
     return cfg
 
 
-def train_config_from(cfg, iterations=None, seed=None):
+def train_config_from(cfg, iterations=None):
     """The run config's ``TrainConfig`` fields, each coerced to its default's
-    type; ``iterations`` and ``seed`` override the config when given."""
-    overrides = {"iterations": iterations, "seed": seed}
-    return TrainConfig(**{
-        f.name: type(f.default)(cfg[f.name] if overrides.get(f.name) is None
-                                else overrides[f.name])
-        for f in dataclasses.fields(TrainConfig)})
+    type; ``iterations`` overrides the config when given."""
+    if iterations is not None:
+        cfg = dict(cfg, iterations=iterations)
+    return TrainConfig(**{f.name: type(f.default)(cfg[f.name])
+                          for f in dataclasses.fields(TrainConfig)})
 
 
 def build_model(dataset: Dataset, cfg, alpha_selection=None, percentile=None):
@@ -299,6 +297,8 @@ def cmd_ablate(cfg):
     axis = cfg["axis"]
     if axis not in ("alpha_init", "vicinity"):
         raise ConfigError("axis must be alpha_init or vicinity")
+    if cfg["mode"] != "binaural":
+        raise ConfigError("ablate scores renders, so it needs binaural mode")
     out = _require(cfg, "out", "--out")
     dataset = Dataset.load(_require(cfg, "dataset", "--dataset"))
     iterations = cfg["ablate_iterations"] or cfg["iterations"]
@@ -392,12 +392,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(p):
+def _add_common(p, seed=True, mode=False):
     p.add_argument("--config", help="JSON run config; flags override it")
-    p.add_argument("--seed", type=int)
+    if seed:
+        p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int, help="BLAS thread count (1 = bit-deterministic)")
     p.add_argument("--out")
-    p.add_argument("--mode", choices=["binaural", "rir"])
+    if mode:
+        p.add_argument("--mode", choices=["binaural", "rir"])
 
 
 def build_parser():
@@ -405,7 +407,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="synthesize a shoebox dataset")
-    _add_common(p)
+    _add_common(p, mode=True)
     p.add_argument("--n", type=int, dest="n_samples")
     p.add_argument("--signal", choices=["pink", "sweep"])
     p.add_argument("--with-rir", action="store_const", const=True, dest="with_rir")
@@ -413,7 +415,7 @@ def build_parser():
     p.add_argument("--ir-duration", type=float, dest="ir_duration")
 
     p = sub.add_parser("train", help="train a model on a dataset")
-    _add_common(p)
+    _add_common(p, mode=True)
     p.add_argument("--dataset")
     p.add_argument("--point-cloud", dest="point_cloud")
     p.add_argument("--iterations", type=int)
@@ -421,13 +423,13 @@ def build_parser():
     p.add_argument("--resume", help="checkpoint directory to continue from")
 
     p = sub.add_parser("render", help="binauralize a mono wav at a pose")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--checkpoint")
     p.add_argument("--pose", help="x,y,z,yaw")
     p.add_argument("--mono")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--checkpoint")
     p.add_argument("--dataset")
     p.add_argument("--split", choices=["train", "val"])
@@ -462,7 +464,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        # --threads took effect at import (_pin_threads); it is no run setting
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "config", "threads")}
         cfg = load_run_config(args.config, overrides)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, SchemaError, DataError, GeometryError, ContractViolation) as exc:

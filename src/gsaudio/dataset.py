@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import ImpulseResponse, Waveform
+from .dsp import SAMPLE_RATE, Waveform
 from .errors import ConfigError, DataError, GeometryError
-from .roomsim import HEAD_RADIUS, ShoeboxRoom, binaural_render, ear_impulse_responses
+from .roomsim import (HEAD_RADIUS, SPEED_OF_SOUND, ShoeboxRoom, binaural_render,
+                      ear_impulse_responses)
 from .scene import Pose
 from .wavio import read_wav, write_wav
 
@@ -26,6 +27,9 @@ SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 _MARGIN = HEAD_RADIUS + 0.05
 TRAIN_FRACTION = 0.8
+RIR_SMOOTHING_MS = 4.0
+SWEEP_F0 = 80.0
+SWEEP_F1 = 8000.0
 
 
 @dataclass
@@ -36,8 +40,8 @@ class RenderedSample:
     mono: Waveform
     left: Waveform
     right: Waveform
-    ir_left: ImpulseResponse | None = None
-    ir_right: ImpulseResponse | None = None
+    ir_left: Waveform | None = None
+    ir_right: Waveform | None = None
 
 
 def pink_noise_burst(n, sample_rate, rng):
@@ -60,12 +64,12 @@ def pink_noise_burst(n, sample_rate, rng):
     return x * (0.5 / peak) if peak > 0 else x
 
 
-def sine_sweep(n, sample_rate, f0=80.0, f1=8000.0):
-    """Exponential sine sweep, amplitude 0.5."""
+def sine_sweep(n, sample_rate):
+    """Exponential sine sweep from SWEEP_F0 to SWEEP_F1, amplitude 0.5."""
     t = np.arange(n) / sample_rate
     duration = n / sample_rate
-    tau = duration / math.log(f1 / f0)
-    phase = 2.0 * np.pi * f0 * tau * (np.exp(t / tau) - 1.0)
+    tau = duration / math.log(SWEEP_F1 / SWEEP_F0)
+    phase = 2.0 * np.pi * SWEEP_F0 * tau * (np.exp(t / tau) - 1.0)
     return 0.5 * np.sin(phase)
 
 
@@ -73,23 +77,21 @@ def default_source(room: ShoeboxRoom):
     return room.dimensions * np.array([0.3, 0.5, 0.5])
 
 
-def bandlimit_ir(samples, sample_rate, smoothing_ms):
-    """Convolve with a unit-energy Hann kernel, as a band-limited measurement
-    would. Stored impulse-response targets go through this so their content
-    stays within the bandwidth a sinusoidally-encoded time query can resolve;
-    raw image-source spike trains are unlearnable for such a head."""
-    if smoothing_ms <= 0:
-        return np.asarray(samples, dtype=np.float64)
-    n = max(3, int(round(smoothing_ms * sample_rate / 1000.0)) | 1)
+def bandlimit_ir(samples, sample_rate):
+    """Convolve with a unit-energy Hann kernel RIR_SMOOTHING_MS wide, as a
+    band-limited measurement would. Stored impulse-response targets go
+    through this so their content stays within the bandwidth a
+    sinusoidally-encoded time query can resolve; raw image-source spike
+    trains are unlearnable for such a head."""
+    n = max(3, int(round(RIR_SMOOTHING_MS * sample_rate / 1000.0)) | 1)
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     win = win / np.sqrt(np.sum(win**2))
     return np.convolve(np.asarray(samples, dtype=np.float64), win, mode="same")
 
 
 def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed=0,
-                  sample_rate=22050, duration=1.0, max_order=3, ir_duration=0.5,
-                  source=None, with_rir=False, min_source_distance=1.2,
-                  rir_smoothing_ms=4.0):
+                  sample_rate=SAMPLE_RATE, duration=1.0, max_order=3, ir_duration=0.5,
+                  source=None, with_rir=False, min_source_distance=1.2):
     """Render a dataset directory; returns the manifest dict.
 
     Listener positions keep at least ``min_source_distance`` from the source
@@ -153,9 +155,9 @@ def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed
             rec["rir_left"] = f"rir/{sid}_l.wav"
             rec["rir_right"] = f"rir/{sid}_r.wav"
             write_wav(os.path.join(out_dir, rec["rir_left"]),
-                      bandlimit_ir(ir_l.samples, sample_rate, rir_smoothing_ms), sample_rate)
+                      bandlimit_ir(ir_l.samples, sample_rate), sample_rate)
             write_wav(os.path.join(out_dir, rec["rir_right"]),
-                      bandlimit_ir(ir_r.samples, sample_rate, rir_smoothing_ms), sample_rate)
+                      bandlimit_ir(ir_r.samples, sample_rate), sample_rate)
         records.append(rec)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -173,7 +175,7 @@ def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed
         "seed": int(seed),
         "with_rir": bool(with_rir),
         "min_source_distance": float(min_source_distance),
-        "rir_smoothing_ms": float(rir_smoothing_ms),
+        "rir_smoothing_ms": RIR_SMOOTHING_MS,
         "samples": records,
     }
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
@@ -215,7 +217,7 @@ class Dataset:
         spec = self.manifest["room"]
         return ShoeboxRoom(dimensions=np.asarray(spec["dimensions"]),
                            absorption=np.asarray(spec["absorption"]),
-                           speed_of_sound=spec.get("speed_of_sound", 343.0))
+                           speed_of_sound=spec.get("speed_of_sound", SPEED_OF_SOUND))
 
     def bounds(self):
         dims = np.asarray(self.manifest["room"]["dimensions"], dtype=np.float64)
@@ -247,8 +249,8 @@ class Dataset:
             data_r, sr_r = read_wav(os.path.join(self.root, record["rir_right"]))
             if sr_l != sr or sr_r != sr:
                 raise DataError(f"sample {sid}: impulse-response sample-rate mismatch")
-            ir_left = ImpulseResponse(data_l, sr)
-            ir_right = ImpulseResponse(data_r, sr)
+            ir_left = Waveform(data_l, sr)
+            ir_right = Waveform(data_r, sr)
         sample = RenderedSample(
             sample_id=sid,
             pose=pose,

@@ -1,9 +1,13 @@
-"""Time-frequency transforms and the two binaural quality metrics.
+"""Signals, time-frequency transforms and the two binaural quality metrics.
+
+``Waveform`` is the one signal type: mono clips, rendered channels and
+impulse responses alike.
 
 STFT frames are centered (half a window of zero padding on each side) with a
 periodic Hann window, so a unit impulse at sample 0 lands on the window peak
 and the overlap-add inverse divides by the exact per-sample window-square
-sum. Default parameters: 22050 Hz, window 512, hop 128.
+sum. ``SAMPLE_RATE``, ``WINDOW`` and ``HOP`` (22050 Hz, 512, 128) are the
+engine's defaults; every other default of these three refers to them.
 
 Neither transform loops over frames. ``stft`` frames by a strided view;
 ``istft`` overlap-adds by hop-sized blocks, adding block j of every frame in
@@ -45,20 +49,6 @@ class Waveform:
 
     def rms(self):
         return float(np.sqrt(np.mean(self.samples**2)))
-
-
-@dataclass
-class ImpulseResponse:
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ContractViolation("impulse response must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.samples)):
-            raise ContractViolation("impulse response contains non-finite samples")
-        self.sample_rate = int(self.sample_rate)
 
     def energy(self):
         return float(np.sum(self.samples**2))

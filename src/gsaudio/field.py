@@ -111,7 +111,7 @@ def anchor_context(tape, net: FieldNetwork, positions, alphas, anchor, percentil
         raise ContractViolation("empty vicinity")
     alpha_block = ad.gather_rows(tape, alphas, indices)
     guidance = Tensor(guidance_rows(positions[indices], anchor))
-    x = ad.concat(tape, [alpha_block, guidance], axis=1)
+    x = ad.concat(tape, [alpha_block, guidance])
     ctx = net.forward(tape, x)
     return ad.mean(tape, ctx, axis=0, keepdims=True), indices
 
@@ -127,5 +127,5 @@ def pooled_context(tape, net: FieldNetwork, positions, alphas, listener: Pose, s
         source_half = anchor_context(tape, net, positions, alphas, source_position, percentile)
     c_source, s_idx = source_half
     c_listener, l_idx = anchor_context(tape, net, positions, alphas, listener.position, percentile)
-    combined = ad.concat(tape, [c_source, c_listener], axis=1)
+    combined = ad.concat(tape, [c_source, c_listener])
     return SceneContext(tensor=combined, listener_indices=l_idx, source_indices=s_idx)

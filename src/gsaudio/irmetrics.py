@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import ImpulseResponse
+from .dsp import Waveform
 from .errors import ContractViolation, MetricUndefined
 
 C50_CLAMP_DB = 80.0
@@ -25,7 +25,7 @@ def onset_index(h):
     return int(np.argmax(np.abs(h) >= 0.01 * peak))
 
 
-def schroeder_db(ir: ImpulseResponse):
+def schroeder_db(ir: Waveform):
     """Backward-integrated energy decay in dB, normalized to 0 dB at onset."""
     h = ir.samples
     start = onset_index(h)
@@ -56,21 +56,21 @@ def _fit_decay(curve, sample_rate, db_from, db_to):
     return slope
 
 
-def estimate_t60(ir: ImpulseResponse):
+def estimate_t60(ir: Waveform):
     """Reverberation time from the -5 to -25 dB fit, extrapolated to 60 dB."""
     curve, _ = schroeder_db(ir)
     slope = _fit_decay(curve, ir.sample_rate, -5.0, -25.0)
     return -60.0 / slope
 
 
-def estimate_edt(ir: ImpulseResponse):
+def estimate_edt(ir: Waveform):
     """Early decay time: 0 to -10 dB fit, extrapolated to 60 dB."""
     curve, _ = schroeder_db(ir)
     slope = _fit_decay(curve, ir.sample_rate, 0.0, -10.0)
     return -60.0 / slope
 
 
-def estimate_c50(ir: ImpulseResponse):
+def estimate_c50(ir: Waveform):
     """Early-to-late energy ratio in dB, split 50 ms after onset."""
     h = ir.samples
     start = onset_index(h)
@@ -84,7 +84,7 @@ def estimate_c50(ir: ImpulseResponse):
     return float(np.clip(10.0 * np.log10(early / late), -C50_CLAMP_DB, C50_CLAMP_DB))
 
 
-def rir_metrics(pred: ImpulseResponse, gt: ImpulseResponse):
+def rir_metrics(pred: Waveform, gt: Waveform):
     """Per-sample metric errors between a predicted and a reference response.
 
     Returns {t60_error_percent, c50_error_db, edt_error_sec}. Raises

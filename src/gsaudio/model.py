@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .binauralizer import (AcousticMasks, MaskNetwork, binauralize, normalize_position)
-from .dsp import ImpulseResponse, Waveform
+from .dsp import HOP, SAMPLE_RATE, WINDOW, Waveform
 from .errors import ConfigError
 from .field import FieldNetwork, SceneContext, anchor_context, pooled_context
 from .scene import AudioPointSet, Pose, load_audio_points, save_audio_points
@@ -44,8 +44,8 @@ class SceneModel:
     """
 
     def __init__(self, points: AudioPointSet, field: FieldNetwork, masknet: MaskNetwork,
-                 source, bounds, percentile=15.0, window=512, hop=128,
-                 sample_rate=22050, seed=None):
+                 source, bounds, percentile=15.0, window=WINDOW, hop=HOP,
+                 sample_rate=SAMPLE_RATE, seed=None):
         if field.alpha_dim != points.alpha_dim:
             raise ConfigError(
                 f"field expects alpha width {field.alpha_dim}, points have {points.alpha_dim}"
@@ -134,12 +134,12 @@ class SceneModel:
         xy01 = normalize_position(pose.position, self.bounds)
         return self.masknet.rir_tensor(tape, xy01, pose.heading(), ctx.tensor, times01), ctx
 
-    def predict_ir(self, pose: Pose, n_samples) -> ImpulseResponse:
+    def predict_ir(self, pose: Pose, n_samples) -> Waveform:
         if self.mode != "rir":
             raise ConfigError("impulse-response prediction requires an rir-mode model")
         times01 = np.arange(n_samples) / n_samples
         amp, _ = self.rir_tensor(None, pose, times01)
-        return ImpulseResponse(samples=amp.data[:, 0], sample_rate=self.sample_rate)
+        return Waveform(samples=amp.data[:, 0], sample_rate=self.sample_rate)
 
     # --- persistence ---
 

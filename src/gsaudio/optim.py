@@ -7,6 +7,10 @@ sparse Adam variants, which the per-point alpha matrix needs because each
 step reaches only the points near the source and the listener. When points
 are added or removed, ``reindex`` applies the same row selection to the
 optimizer state.
+
+The moment decay rates and the denominator guard are the fixed constants
+``BETA1``, ``BETA2`` and ``EPS``; only the learning rate is set per
+optimizer.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def reindex_rows(array, keep, n_new):
@@ -24,11 +32,8 @@ def reindex_rows(array, keep, n_new):
 
 
 class Adam:
-    def __init__(self, params=(), lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.params = list(params)
         if not all(p.param for p in self.params):
             raise ContractViolation("optimizer can only track parameter tensors")
@@ -68,16 +73,16 @@ class Adam:
         (1 - b1) g`` and ``v = b2 v + (1 - b2) (g g)``, so the bits are those
         of the out-of-place formula; only the temporaries are fewer."""
         c1, c2 = self._bias_corrections(t, data.ndim)
-        scratch = np.multiply(g, 1.0 - self.beta1)
-        m *= self.beta1
+        scratch = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += scratch
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - self.beta2
-        v *= self.beta2
+        scratch *= 1.0 - BETA2
+        v *= BETA2
         v += scratch
         np.divide(v, c2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += self.eps
+        scratch += EPS
         step = np.divide(m, c1)
         step *= self.lr
         step /= scratch
@@ -89,8 +94,8 @@ class Adam:
         top = int(t.max(initial=0))
         if top >= self._c1.size:
             steps = range(self._c1.size, top + 1)
-            self._c1 = np.append(self._c1, [1.0 - self.beta1 ** s for s in steps])
-            self._c2 = np.append(self._c2, [1.0 - self.beta2 ** s for s in steps])
+            self._c1 = np.append(self._c1, [1.0 - BETA1 ** s for s in steps])
+            self._c2 = np.append(self._c2, [1.0 - BETA2 ** s for s in steps])
         shape = (-1,) + (1,) * (ndim - 1)
         return self._c1[t].reshape(shape), self._c2[t].reshape(shape)
 

@@ -6,6 +6,12 @@ carry energy absorption coefficients in [0, 1]; pressure reflection factors
 are sqrt(1 - absorption). Image amplitudes are the product of reflection
 factors over the path divided by the travel distance (no 4*pi scaling), and
 arrivals land on the sample grid through an 81-tap Hann-windowed sinc.
+
+The head is fixed: ears ``HEAD_RADIUS`` to either side of the listener, a
+level difference of ``ILD_STRENGTH`` and a receiver gain of
+``RECEIVER_GAIN``. ``binaural_render`` and ``ear_impulse_responses`` share
+one per-ear path, so convolving the mono source with the stored per-ear
+responses reproduces the rendered pair.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import ImpulseResponse, Waveform
+from .dsp import SAMPLE_RATE, Waveform
 from .errors import ConfigError, GeometryError
 from .scene import Pose
 
@@ -90,7 +96,7 @@ def image_sources(room: ShoeboxRoom, source, max_order):
 
 
 def image_source_rir(room: ShoeboxRoom, source, receiver, max_order=3,
-                     sample_rate=22050, duration=0.5) -> ImpulseResponse:
+                     sample_rate=SAMPLE_RATE, duration=0.5) -> Waveform:
     """Impulse response between a source and a point receiver."""
     source = np.asarray(source, dtype=np.float64).reshape(3)
     receiver = np.asarray(receiver, dtype=np.float64).reshape(3)
@@ -120,7 +126,7 @@ def image_source_rir(room: ShoeboxRoom, source, receiver, max_order=3,
         vals = amps[:, None] * np.sinc(x) * taper
         ok = (idx >= 0) & (idx < n)
         np.add.at(ir, idx[ok], vals[ok])
-    return ImpulseResponse(samples=ir, sample_rate=sample_rate)
+    return Waveform(samples=ir, sample_rate=sample_rate)
 
 
 def _lateral_axis(direction):
@@ -132,9 +138,9 @@ def _lateral_axis(direction):
     return left / norm
 
 
-def ear_positions(pose: Pose, head_radius=HEAD_RADIUS):
+def ear_positions(pose: Pose):
     left_axis = _lateral_axis(pose.direction)
-    return pose.position + head_radius * left_axis, pose.position - head_radius * left_axis
+    return pose.position + HEAD_RADIUS * left_axis, pose.position - HEAD_RADIUS * left_axis
 
 
 def _fft_convolve(signal, kernel):
@@ -144,7 +150,7 @@ def _fft_convolve(signal, kernel):
     return out[: signal.size]
 
 
-def head_shadow_gains(pose: Pose, source, strength=ILD_STRENGTH):
+def head_shadow_gains(pose: Pose, source):
     """Frequency-independent level difference, weighted by the cosine of the
     angle between the source direction and each ear's axis."""
     to_source = np.asarray(source, dtype=np.float64) - pose.position
@@ -153,42 +159,40 @@ def head_shadow_gains(pose: Pose, source, strength=ILD_STRENGTH):
         raise GeometryError("source coincides with the listener")
     to_source = to_source / norm
     lateral = float(np.dot(to_source, _lateral_axis(pose.direction)))
-    return 1.0 + strength * lateral, 1.0 - strength * lateral
+    return 1.0 + ILD_STRENGTH * lateral, 1.0 - ILD_STRENGTH * lateral
+
+
+def _ear_responses(room: ShoeboxRoom, source, pose: Pose, max_order, sample_rate,
+                   ir_duration):
+    """Each ear's (impulse response, scale), left then right; the scale is
+    ``RECEIVER_GAIN`` times the ear's head-shadow gain."""
+    ears = ear_positions(pose)
+    if not all(room.contains(ear) for ear in ears):
+        raise GeometryError("an ear lies outside the room")
+    return [(image_source_rir(room, source, ear, max_order, sample_rate, ir_duration),
+             RECEIVER_GAIN * ear_gain)
+            for ear, ear_gain in zip(ears, head_shadow_gains(pose, source))]
 
 
 def binaural_render(room: ShoeboxRoom, source, pose: Pose, mono: Waveform,
-                    max_order=3, ir_duration=0.5, ild_strength=ILD_STRENGTH,
-                    gain=RECEIVER_GAIN):
+                    max_order=3, ir_duration=0.5):
     """Ground-truth binaural pair: per-ear image-source IR convolved with the
     mono signal, then the spherical-head level difference and receiver gain.
     Output length matches the mono input."""
-    left_pos, right_pos = ear_positions(pose)
-    for ear in (left_pos, right_pos):
-        if not room.contains(ear):
-            raise GeometryError("an ear lies outside the room")
-    g_left, g_right = head_shadow_gains(pose, source, ild_strength)
-    out = []
-    for ear, ear_gain in ((left_pos, g_left), (right_pos, g_right)):
-        ir = image_source_rir(room, source, ear, max_order, mono.sample_rate, ir_duration)
-        out.append(gain * ear_gain * _fft_convolve(mono.samples, ir.samples))
-    return (Waveform(samples=out[0], sample_rate=mono.sample_rate),
-            Waveform(samples=out[1], sample_rate=mono.sample_rate))
+    return tuple(Waveform(samples=scale * _fft_convolve(mono.samples, ir.samples),
+                          sample_rate=mono.sample_rate)
+                 for ir, scale in _ear_responses(room, source, pose, max_order,
+                                                 mono.sample_rate, ir_duration))
 
 
 def ear_impulse_responses(room: ShoeboxRoom, source, pose: Pose, max_order=3,
-                          sample_rate=22050, ir_duration=0.5, ild_strength=ILD_STRENGTH,
-                          gain=RECEIVER_GAIN):
+                          sample_rate=SAMPLE_RATE, ir_duration=0.5):
     """Per-ear impulse responses including the head-shadow and receiver
     gains, so that convolving each with the mono source reproduces
     binaural_render."""
-    left_pos, right_pos = ear_positions(pose)
-    g_left, g_right = head_shadow_gains(pose, source, ild_strength)
-    irs = []
-    for ear, ear_gain in ((left_pos, g_left), (right_pos, g_right)):
-        ir = image_source_rir(room, source, ear, max_order, sample_rate, ir_duration)
-        irs.append(ImpulseResponse(samples=gain * ear_gain * ir.samples,
-                                   sample_rate=sample_rate))
-    return irs[0], irs[1]
+    return tuple(Waveform(samples=scale * ir.samples, sample_rate=sample_rate)
+                 for ir, scale in _ear_responses(room, source, pose, max_order,
+                                                 sample_rate, ir_duration))
 
 
 def sabine_t60(room: ShoeboxRoom):

@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .dataset import Dataset
-from .dsp import Waveform, env_distance, mag_distance, stft
+from .dsp import HOP, WINDOW, Waveform, env_distance, mag_distance, stft
 from .errors import ConfigError, ContractViolation, EvaluationError, MetricUndefined
 from .irmetrics import rir_metrics
 from .model import SceneModel
@@ -67,8 +67,8 @@ class TrainConfig:
     prune_radius: float = 0.1
     eval_interval: int = 200
     seed: int = 0
-    window: int = 512
-    hop: int = 128
+    window: int = WINDOW
+    hop: int = HOP
     rir_time_batch: int = 1024
 
     def __post_init__(self):
@@ -108,7 +108,7 @@ def loss_reconstruction_binned(tape, mixture, difference, sample):
     right = ad.scale(tape, ad.sub(tape, mixture, difference), 0.5)
     errors = [ad.sub(tape, gain, center) for gain, center in
               ((mixture, sample.c_m), (left, sample.c_l), (right, sample.c_r))]
-    squared = ad.square(tape, ad.concat(tape, errors, axis=1))
+    squared = ad.square(tape, ad.concat(tape, errors))
     weighted = ad.total(tape, ad.mul(tape, squared, sample.power))
     return ad.scale(tape, ad.add(tape, weighted, sample.residual), 1.0 / sample.cells)
 
@@ -476,7 +476,7 @@ class Trainer:
 # --- evaluation helpers ---
 
 
-def evaluate_binaural(model: SceneModel, dataset: Dataset, split, window=512, hop=128):
+def evaluate_binaural(model: SceneModel, dataset: Dataset, split, window=WINDOW, hop=HOP):
     samples = dataset.samples(split)
     if not samples:
         raise ConfigError(f"no samples in split {split!r}")
@@ -513,7 +513,7 @@ def evaluate_rir(model: SceneModel, dataset: Dataset, split):
     return out
 
 
-def codec_baselines(dataset: Dataset, split="val", window=512, hop=128):
+def codec_baselines(dataset: Dataset, split="val", window=WINDOW, hop=HOP):
     """Reference predictions: duplicated mono, energy-matched mono, and
     per-channel energy-matched mono; averaged MAG/ENV over the split."""
     samples = dataset.samples(split)
@@ -523,9 +523,7 @@ def codec_baselines(dataset: Dataset, split="val", window=512, hop=128):
               ("mono_mono", "mono_energy", "stereo_energy")}
     for s in samples:
         gt = (s.left, s.right)
-        e_mono = float(np.sum(s.mono.samples**2))
-        e_left = float(np.sum(s.left.samples**2))
-        e_right = float(np.sum(s.right.samples**2))
+        e_mono, e_left, e_right = s.mono.energy(), s.left.energy(), s.right.energy()
         scale_mono = np.sqrt(((e_left + e_right) / 2.0) / e_mono) if e_mono > 0 else 0.0
         scale_l = np.sqrt(e_left / e_mono) if e_mono > 0 else 0.0
         scale_r = np.sqrt(e_right / e_mono) if e_mono > 0 else 0.0

@@ -1,8 +1,9 @@
 """Minimal RIFF/WAVE reader and writer.
 
-Supports the two layouts the engine produces and consumes: PCM 16-bit and
-IEEE float32, mono or 2-channel, little-endian, canonical chunk order.
-Unknown chunks are skipped on read.
+The engine writes one layout: IEEE float32, mono or 2-channel,
+little-endian, canonical chunk order. It reads that layout and PCM 16-bit,
+since input files come from outside the program. Unknown chunks are skipped
+on read.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ _FMT_PCM = 1
 _FMT_FLOAT = 3
 
 
-def write_wav(path, samples, sample_rate, fmt="float32"):
-    """Write ``samples`` (shape (n,) or (n, channels)) to ``path``."""
+def write_wav(path, samples, sample_rate):
+    """Write ``samples`` (shape (n,) or (n, channels)) to ``path`` as float32."""
     data = np.asarray(samples, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
@@ -27,16 +28,8 @@ def write_wav(path, samples, sample_rate, fmt="float32"):
     if not np.all(np.isfinite(data)):
         raise ContractViolation("non-finite samples")
     channels = data.shape[1]
-    if fmt == "float32":
-        payload = data.astype("<f4").tobytes()
-        audio_format, bits = _FMT_FLOAT, 32
-    elif fmt == "pcm16":
-        clipped = np.clip(data, -1.0, 1.0)
-        payload = (clipped * 32767.0).round().astype("<i2").tobytes()
-        audio_format, bits = _FMT_PCM, 16
-    else:
-        raise ContractViolation(f"unsupported wav format {fmt!r}")
-    block_align = channels * bits // 8
+    payload = data.astype("<f4").tobytes()
+    block_align = channels * 4
     byte_rate = int(sample_rate) * block_align
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -45,12 +38,12 @@ def write_wav(path, samples, sample_rate, fmt="float32"):
         b"WAVE",
         b"fmt ",
         16,
-        audio_format,
+        _FMT_FLOAT,
         channels,
         int(sample_rate),
         byte_rate,
         block_align,
-        bits,
+        32,
         b"data",
         len(payload),
     )

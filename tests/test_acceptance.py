@@ -14,7 +14,7 @@ from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tape, Tensor
 from gsaudio.binauralizer import MaskNetwork
 from gsaudio.dataset import Dataset, synth_dataset
-from gsaudio.dsp import ImpulseResponse, Waveform, envelope, istft, mag_distance, stft
+from gsaudio.dsp import Waveform, envelope, istft, mag_distance, stft
 from gsaudio.field import FieldNetwork
 from gsaudio.irmetrics import estimate_t60
 from gsaudio.kdtree import brute_force_knn
@@ -159,7 +159,7 @@ def test_criterion_2_dsp_suite():
     for t60 in (0.2, 0.5, 1.0):
         n = int(1.4 * t60 * SR)
         t = np.arange(n) / SR
-        ir = ImpulseResponse(np.exp(-6.9075 * t / t60) * rng.standard_normal(n), SR)
+        ir = Waveform(np.exp(-6.9075 * t / t60) * rng.standard_normal(n), SR)
         err = abs(estimate_t60(ir) - t60) / t60
         worst_t60 = max(worst_t60, err)
         assert err < 0.05

@@ -41,24 +41,19 @@ def ir_of(net, pose, ctx, n_samples):
 # --- positional encoding ---
 
 def test_encoding_of_zero_alternates():
-    enc = positional_encoding(np.array([0.0]), 10)
+    enc = positional_encoding(np.array([0.0]))
     assert enc.shape == (20,)
     assert np.array_equal(enc, np.tile([0.0, 1.0], 10))
 
 
 def test_encoding_of_one_level_one():
-    enc = positional_encoding(np.array([1.0]), 1)
-    assert abs(enc[0]) < 1e-12  # sin(pi)
+    enc = positional_encoding(np.array([1.0]))
+    assert abs(enc[0]) < 1e-12  # sin(pi), the first level
     assert enc[1] == pytest.approx(-1.0)  # cos(pi)
 
 
 def test_encoding_width_for_two_vector():
-    assert positional_encoding(np.array([0.3, 0.7]), 10).shape == (40,)
-
-
-def test_encoding_rejects_zero_levels():
-    with pytest.raises(ContractViolation):
-        positional_encoding(np.array([0.5]), 0)
+    assert positional_encoding(np.array([0.3, 0.7])).shape == (40,)
 
 
 # --- direction transform ---

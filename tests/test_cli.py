@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -282,3 +283,50 @@ def test_rir_checkpoint_resumes_without_mode(tmp_path):
     assert last["iteration"] == 4
     assert "t60_error_percent" in last
     assert json.loads((run / "final" / "config.json").read_text())["mode"] == "rir"
+
+
+def test_threads_in_a_config_file_is_rejected(tmp_path):
+    # --threads pins BLAS before numpy loads, so only argv can set it
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"threads": 1}))
+    proc = run_cli(["gen-data", "--config", config, "--out", tmp_path / "d", "--n", 5])
+    assert proc.returncode == 1
+    assert "unknown config keys: threads" in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
+def test_ablate_in_rir_mode_fails_before_training(tmp_path):
+    data = tmp_path / "rir_data"
+    proc = run_cli(["gen-data", "--out", data, "--n", 6, "--seed", 4, "--with-rir",
+                    "--absorption", 0.7, "--ir-duration", 0.1])
+    assert proc.returncode == 0, proc.stderr
+    config = tmp_path / "rir.json"
+    config.write_text(json.dumps({"mode": "rir", "init_points": 64, "rir_time_batch": 128,
+                                  "densify_interval": 0, "eval_interval": 2}))
+    out = tmp_path / "ablate"
+    proc = run_cli(["ablate", "--config", config, "--dataset", data, "--axis", "vicinity",
+                    "--iterations", 2, "--out", out])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert not list(tmp_path.glob("ablate/vicinity_*"))
+
+
+def test_cli_surface():
+    from gsaudio.cli import build_parser
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: sorted(opt for action in sub._actions for opt in action.option_strings)
+               for name, sub in commands.choices.items()}
+    common = ["--config", "--out", "--threads", "-h", "--help"]
+    want = {
+        "gen-data": ["--seed", "--mode", "--n", "--signal", "--with-rir", "--absorption",
+                     "--ir-duration"],
+        "train": ["--seed", "--mode", "--dataset", "--point-cloud", "--iterations",
+                  "--eval-interval", "--resume"],
+        "render": ["--checkpoint", "--pose", "--mono"],
+        "eval": ["--checkpoint", "--dataset", "--split"],
+        "ablate": ["--seed", "--dataset", "--axis", "--iterations"],
+        "bench": ["--seed", "--checkpoint", "--n"],
+    }
+    assert surface == {name: sorted(common + opts) for name, opts in want.items()}

@@ -16,8 +16,7 @@ import pytest
 
 from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tape, Tensor
-from gsaudio.binauralizer import (ENCODING_LEVELS, MaskNetwork, _encode_direction,
-                                  positional_encoding)
+from gsaudio.binauralizer import MaskNetwork, _encode_direction, positional_encoding
 from gsaudio.dsp import Waveform, stft
 from gsaudio.field import FieldNetwork
 from gsaudio.model import SceneModel
@@ -62,25 +61,24 @@ def reference_head(net, tape, x):
 
 def reference_mask_tensors(self, tape, xy01, theta, context, n_bins):
     f_norm = np.arange(n_bins) / max(n_bins - 1, 1)
-    enc_xy = np.tile(positional_encoding(xy01, ENCODING_LEVELS), (n_bins, 1))
-    enc_f = positional_encoding(f_norm[:, None], ENCODING_LEVELS)
-    x1 = ad.concat(tape, [Tensor(enc_xy), Tensor(enc_f), tiled_rows(tape, context, n_bins)],
-                   axis=1)
+    enc_xy = np.tile(positional_encoding(xy01), (n_bins, 1))
+    enc_f = positional_encoding(f_norm[:, None])
+    x1 = ad.concat(tape, [Tensor(enc_xy), Tensor(enc_f), tiled_rows(tape, context, n_bins)])
     feats = reference_features(self, tape, x1)
     mixture = ad.scale(tape, ad.sigmoid(tape, unfused_layer(tape, self.mix_proj, feats)), 2.0)
-    enc_dir = np.tile(_encode_direction(theta, ENCODING_LEVELS), (n_bins, 1))
-    x2 = ad.concat(tape, [feats, Tensor(enc_dir)], axis=1)
+    enc_dir = np.tile(_encode_direction(theta), (n_bins, 1))
+    x2 = ad.concat(tape, [feats, Tensor(enc_dir)])
     return mixture, reference_head(self, tape, x2)
 
 
 def reference_rir_tensor(self, tape, xy01, theta, context, times01):
-    enc_xy = positional_encoding(xy01, ENCODING_LEVELS)[None, :]
-    feats = reference_features(self, tape, ad.concat(tape, [Tensor(enc_xy), context], axis=1))
+    enc_xy = positional_encoding(xy01)[None, :]
+    feats = reference_features(self, tape, ad.concat(tape, [Tensor(enc_xy), context]))
     t = np.asarray(times01, dtype=np.float64).reshape(-1, 1)
     n = t.shape[0]
-    enc_dir = np.tile(_encode_direction(theta, ENCODING_LEVELS), (n, 1))
-    enc_t = positional_encoding(t, ENCODING_LEVELS)
-    x2 = ad.concat(tape, [tiled_rows(tape, feats, n), Tensor(enc_dir), Tensor(enc_t)], axis=1)
+    enc_dir = np.tile(_encode_direction(theta), (n, 1))
+    enc_t = positional_encoding(t)
+    x2 = ad.concat(tape, [tiled_rows(tape, feats, n), Tensor(enc_dir), Tensor(enc_t)])
     return reference_head(self, tape, x2)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsaudio.dsp import ImpulseResponse
+from gsaudio.dsp import Waveform
 from gsaudio.errors import ContractViolation, MetricUndefined
 from gsaudio.irmetrics import (C50_CLAMP_DB, estimate_c50, estimate_edt,
                                estimate_t60, rir_metrics)
@@ -13,7 +13,7 @@ def decay_ir(t60, seed=0, length_factor=1.4):
     rng = np.random.default_rng(seed)
     n = int(length_factor * t60 * SR)
     t = np.arange(n) / SR
-    return ImpulseResponse(np.exp(-6.9075 * t / t60) * rng.standard_normal(n), SR)
+    return Waveform(np.exp(-6.9075 * t / t60) * rng.standard_normal(n), SR)
 
 
 def test_identical_responses_have_zero_errors():
@@ -38,7 +38,7 @@ def test_t60_in_stated_window_for_half_second_decay():
 def test_c50_clamped_when_no_late_energy():
     h = np.zeros(SR)
     h[: int(0.02 * SR)] = np.random.default_rng(4).standard_normal(int(0.02 * SR))
-    ir = ImpulseResponse(h, SR)
+    ir = Waveform(h, SR)
     assert estimate_c50(ir) == C50_CLAMP_DB
     errs = rir_metrics(ir, ir)
     assert errs["c50_error_db"] == 0.0
@@ -47,13 +47,13 @@ def test_c50_clamped_when_no_late_energy():
 def test_short_response_raises_metric_undefined():
     # constant energy never spans the -5..-25 dB fit range
     with pytest.raises(MetricUndefined):
-        estimate_t60(ImpulseResponse(np.ones(64), SR))
+        estimate_t60(Waveform(np.ones(64), SR))
 
 
 def test_silent_response_rejected():
     with pytest.raises(ContractViolation):
-        rir_metrics(ImpulseResponse(np.zeros(100), SR),
-                    ImpulseResponse(np.ones(100), SR))
+        rir_metrics(Waveform(np.zeros(100), SR),
+                    Waveform(np.ones(100), SR))
 
 
 def test_edt_tracks_decay_rate():

@@ -231,7 +231,7 @@ def small_dataset(tmp_path_factory):
 
 def make_trainer(dataset, seed=16):
     cfg = load_run_config(None, {"seed": seed, "init_points": 256})
-    tcfg = train_config_from(cfg, iterations=10, seed=seed)
+    tcfg = train_config_from(cfg, iterations=10)
     return Trainer(build_model(dataset, cfg), dataset, tcfg)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from gsaudio.autodiff import Tensor
 from gsaudio.errors import ContractViolation
-from gsaudio.optim import Adam
+from gsaudio.optim import BETA1, BETA2, EPS, Adam
 
 
 def make_param(value):
@@ -12,7 +12,7 @@ def make_param(value):
 
 def test_first_step_magnitude():
     p = make_param([0.0])
-    opt = Adam([p], lr=0.1, eps=1e-8)
+    opt = Adam([p], lr=0.1)
     opt.step({p: np.array([1.0])})
     delta = abs(p.data[0])
     assert 0.0999 <= delta <= 0.1
@@ -41,7 +41,7 @@ def test_opposite_gradients_give_mirrored_updates():
 
 def test_shape_mismatch_rejected():
     p = make_param(np.zeros((2, 2)))
-    opt = Adam([p])
+    opt = Adam([p], lr=1e-3)
     with pytest.raises(ContractViolation):
         opt.step({p: np.zeros(3)})
 
@@ -124,14 +124,14 @@ def out_of_place_step(opt, p, m, v, t, g, rows):
     formula the in-place step must reproduce byte for byte."""
     g = g[rows]
     t[rows] += 1
-    m_rows = opt.beta1 * m[rows] + (1.0 - opt.beta1) * g
-    v_rows = opt.beta2 * v[rows] + (1.0 - opt.beta2) * (g * g)
+    m_rows = BETA1 * m[rows] + (1.0 - BETA1) * g
+    v_rows = BETA2 * v[rows] + (1.0 - BETA2) * (g * g)
     m[rows] = m_rows
     v[rows] = v_rows
     shape = (-1,) + (1,) * (p.ndim - 1)
-    c1 = np.array([1.0 - opt.beta1 ** int(s) for s in t[rows]]).reshape(shape)
-    c2 = np.array([1.0 - opt.beta2 ** int(s) for s in t[rows]]).reshape(shape)
-    p[rows] = p[rows] - opt.lr * (m_rows / c1) / (np.sqrt(v_rows / c2) + opt.eps)
+    c1 = np.array([1.0 - BETA1 ** int(s) for s in t[rows]]).reshape(shape)
+    c2 = np.array([1.0 - BETA2 ** int(s) for s in t[rows]]).reshape(shape)
+    p[rows] = p[rows] - opt.lr * (m_rows / c1) / (np.sqrt(v_rows / c2) + EPS)
 
 
 @pytest.mark.parametrize("row_steps", [False, True])

@@ -28,7 +28,7 @@ def small_dataset(tmp_path_factory):
 def make_trainer(dataset, seed=3, iterations=50, **overrides):
     cfg = load_run_config(None, {"seed": seed, "init_points": 128})
     model = build_model(dataset, cfg)
-    tcfg = train_config_from(cfg, iterations=iterations, seed=seed)
+    tcfg = train_config_from(cfg, iterations=iterations)
     tcfg.densify_interval = 0
     for key, value in overrides.items():
         setattr(tcfg, key, value)
@@ -427,7 +427,7 @@ def test_render_and_train_step_build_no_kd_tree(small_dataset, monkeypatch):
     sample = small_dataset.samples("val")[0]
     left, right = model.render(sample.pose, sample.mono)
     assert np.all(np.isfinite(left.samples)) and np.all(np.isfinite(right.samples))
-    tcfg = train_config_from(cfg, iterations=1, seed=3)
+    tcfg = train_config_from(cfg, iterations=1)
     tcfg.densify_interval = 0
     assert np.isfinite(Trainer(model, small_dataset, tcfg).train_step())
 
@@ -446,7 +446,7 @@ def test_pure_regularizer_run_shrinks_alpha(small_dataset):
     # degenerate run is exercised at width 3
     cfg = load_run_config(None, {"seed": 4, "init_points": 128, "alpha_init": ["S"]})
     model = build_model(small_dataset, cfg)
-    tcfg = train_config_from(cfg, iterations=200, seed=4)
+    tcfg = train_config_from(cfg, iterations=200)
     tcfg.lambda_a = 1.0
     tcfg.densify_interval = 0
     trainer = Trainer(model, small_dataset, tcfg)
@@ -461,7 +461,7 @@ def test_pure_regularizer_run_shrinks_alpha(small_dataset):
 def test_rir_mode_requires_ir_files(small_dataset):
     cfg = load_run_config(None, {"seed": 0, "init_points": 64, "mode": "rir"})
     model = build_model(small_dataset, cfg)
-    tcfg = train_config_from(cfg, iterations=10, seed=0)
+    tcfg = train_config_from(cfg, iterations=10)
     with pytest.raises(ConfigError):
         Trainer(model, small_dataset, tcfg)
 
@@ -469,7 +469,7 @@ def test_rir_mode_requires_ir_files(small_dataset):
 @pytest.mark.parametrize("name, value", [("window", 256), ("hop", 64)])
 def test_window_and_hop_must_match_the_model(small_dataset, name, value):
     cfg = load_run_config(None, {"seed": 0, "init_points": 64})
-    tcfg = train_config_from(cfg, iterations=10, seed=0)
+    tcfg = train_config_from(cfg, iterations=10)
     setattr(tcfg, name, value)
     with pytest.raises(ConfigError, match=name):
         Trainer(build_model(small_dataset, cfg), small_dataset, tcfg)
@@ -513,7 +513,7 @@ def test_resume_reproduces_next_eval(small_dataset, tmp_path):
     part = make_trainer(small_dataset, seed=6, iterations=20, eval_interval=20)
     part.run(tmp_path / "part")
     tcfg = train_config_from(load_run_config(None, {"seed": 6, "init_points": 128}),
-                             iterations=40, seed=6)
+                             iterations=40)
     tcfg.densify_interval = 0
     tcfg.eval_interval = 20
     resumed = Trainer.resume(str(tmp_path / "part" / "final"), small_dataset, tcfg)
