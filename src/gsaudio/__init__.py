@@ -22,6 +22,7 @@ _SUBMODULES = (
     "dataset",
     "model",
     "training",
+    "settings",
     "cli",
     "errors",
 )

@@ -1,20 +1,29 @@
 """Operator surface: dataset generation, training, rendering, evaluation,
 ablations, and benchmarking.
 
-Exit codes: 0 success, 1 usage/config, 2 numeric failure, 3 I/O. The
-GSAUDIO_LOG environment variable sets the log level. ``--threads N`` pins the
-BLAS thread pools (this must happen before numpy loads, which is why the
-module scans argv at import time, and why it is read from argv only, never
-from a config file); ``--threads 1`` is the bit-determinism contract.
+Exit codes: 0 success, 1 usage/config (a config value of the wrong type or
+range is named with its key), 2 numeric failure, 3 I/O. GSAUDIO_LOG sets the
+log level. ``--threads N`` (N >= 1) pins the BLAS thread pools (this must
+happen before numpy loads, which is why the module scans argv at import
+time, and why it is read from argv only, never from a config file);
+``--threads 1`` is the bit-determinism contract.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
+
+
+def _thread_count(text):
+    """``--threads``' type: an integer >= 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _pin_threads(argv):
@@ -24,24 +33,24 @@ def _pin_threads(argv):
             value = argv[i + 1]
         elif arg.startswith("--threads="):
             value = arg.split("=", 1)[1]
-    if value is not None and value.isdigit():
+    if value is not None and value.isdecimal() and int(value) >= 1:  # else the parser errs
         for var in _THREAD_VARS:
             os.environ[var] = value
 
 
 _pin_threads(sys.argv)
 
-import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import json  # noqa: E402
 import logging  # noqa: E402
 import time  # noqa: E402
+from typing import get_args  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from .binauralizer import MaskNetwork, binauralize  # noqa: E402
 from .dataset import Dataset, synth_dataset  # noqa: E402
-from .dsp import HOP, SAMPLE_RATE, WINDOW, Waveform  # noqa: E402
+from .dsp import Waveform  # noqa: E402
 from .errors import (ConfigError, ContractViolation, DataError, EvaluationError,  # noqa: E402
                      GeometryError, GsAudioError, SchemaError)
 from .field import FieldNetwork  # noqa: E402
@@ -49,6 +58,7 @@ from .model import SceneModel  # noqa: E402
 from .roomsim import ShoeboxRoom  # noqa: E402
 from .scene import (Pose, alpha_width, init_audio_points, load_gaussian_cloud,  # noqa: E402
                     synthetic_cloud)
+from .settings import SETTINGS, load_run_config  # noqa: E402
 from .training import (TrainConfig, Trainer, codec_baselines, evaluate_binaural,  # noqa: E402
                        evaluate_rir)
 from .wavio import read_wav, write_wav  # noqa: E402
@@ -65,85 +75,13 @@ ALPHA_ABLATION_ROWS = (
 )
 VICINITY_ABLATION_PERCENTILES = (5.0, 10.0, 15.0, 20.0, 25.0)
 
-_DEFAULTS = {
-    "mode": "binaural",
-    "seed": 0,
-    "out": None,
-    "dataset": None,
-    "point_cloud": None,
-    "checkpoint": None,
-    "resume": None,
-    "split": "val",
-    # training
-    "iterations": 2000,
-    "lambda_a": 0.01,
-    "lr_alpha": 1.6e-4,
-    "lr_nets": 5e-4,
-    "densify_interval": 500,
-    "densify_threshold": 0.0004,
-    "prune_interval": 3000,
-    "prune_min_neighbors": 8,
-    "prune_radius": 0.1,
-    "vicinity_percentile": 15.0,
-    "eval_interval": 200,
-    "window": WINDOW,
-    "hop": HOP,
-    "rir_time_batch": 1024,
-    "init_points": 512,
-    "alpha_init": ["SH", "R"],
-    # data generation
-    "room": [6.0, 4.0, 3.0],
-    "absorption": 0.3,
-    "max_order": 3,
-    "n_samples": 100,
-    "signal": "pink",
-    "sample_rate": SAMPLE_RATE,
-    "duration": 1.0,
-    "ir_duration": 0.5,
-    "source": None,
-    "with_rir": None,
-    "min_source_distance": 1.2,
-    # render
-    "pose": None,
-    "mono": None,
-    # bench / ablate
-    "n_renders": 100,
-    "axis": None,
-    "ablate_iterations": None,
-}
-
-
-def load_run_config(path=None, overrides=None):
-    """Defaults, then the config file, then flags; unknown keys rejected."""
-    cfg = dict(_DEFAULTS)
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(loaded) - set(_DEFAULTS))
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-        cfg.update(loaded)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
-        cfg[key] = value
-    return cfg
-
 
 def train_config_from(cfg, iterations=None):
-    """The run config's ``TrainConfig`` fields, each coerced to its default's
-    type; ``iterations`` overrides the config when given."""
+    """The run config's ``TrainConfig`` fields; ``iterations`` overrides the
+    config when given."""
     if iterations is not None:
         cfg = dict(cfg, iterations=iterations)
-    return TrainConfig(**{f.name: type(f.default)(cfg[f.name])
-                          for f in dataclasses.fields(TrainConfig)})
+    return TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
 
 
 def build_model(dataset: Dataset, cfg, alpha_selection=None, percentile=None):
@@ -151,22 +89,21 @@ def build_model(dataset: Dataset, cfg, alpha_selection=None, percentile=None):
     synthesized uniform cloud, networks seeded from the run seed. The model
     owns the run config's mode, vicinity percentile, window and hop."""
     selection = tuple(alpha_selection if alpha_selection is not None else cfg["alpha_init"])
-    build_rng = np.random.default_rng([int(cfg["seed"]), 17])
+    build_rng = np.random.default_rng([cfg["seed"], 17])
     if cfg["point_cloud"]:
         cloud = load_gaussian_cloud(cfg["point_cloud"])
     else:
         lo, hi = dataset.bounds()
-        cloud = synthetic_cloud(lo, hi, int(cfg["init_points"]), build_rng)
+        cloud = synthetic_cloud(lo, hi, cfg["init_points"], build_rng)
     points = init_audio_points(cloud, selection)
-    field = FieldNetwork(alpha_dim=alpha_width(selection), rng=build_rng, seed=int(cfg["seed"]))
-    masknet = MaskNetwork(mode=cfg["mode"], rng=build_rng, seed=int(cfg["seed"]))
+    field = FieldNetwork(alpha_dim=alpha_width(selection), rng=build_rng, seed=cfg["seed"])
+    masknet = MaskNetwork(mode=cfg["mode"], rng=build_rng, seed=cfg["seed"])
     lo, hi = dataset.bounds()
     return SceneModel(
         points=points, field=field, masknet=masknet, source=dataset.source,
         bounds=(lo, hi),
-        percentile=float(percentile if percentile is not None else cfg["vicinity_percentile"]),
-        window=int(cfg["window"]), hop=int(cfg["hop"]),
-        sample_rate=dataset.sample_rate, seed=int(cfg["seed"]),
+        percentile=percentile if percentile is not None else cfg["vicinity_percentile"],
+        window=cfg["window"], hop=cfg["hop"], sample_rate=dataset.sample_rate, seed=cfg["seed"],
     )
 
 
@@ -185,13 +122,11 @@ def cmd_gen_data(cfg):
     out = _require(cfg, "out", "--out")
     with_rir = cfg["with_rir"] if cfg["with_rir"] is not None else cfg["mode"] == "rir"
     manifest = synth_dataset(
-        out_dir=out, room=_room_from(cfg), n_samples=int(cfg["n_samples"]),
-        signal=cfg["signal"], seed=int(cfg["seed"]), sample_rate=int(cfg["sample_rate"]),
-        duration=float(cfg["duration"]), max_order=int(cfg["max_order"]),
-        ir_duration=float(cfg["ir_duration"]),
+        out_dir=out, room=_room_from(cfg), n_samples=cfg["n_samples"], signal=cfg["signal"],
+        seed=cfg["seed"], sample_rate=cfg["sample_rate"], duration=cfg["duration"],
+        max_order=cfg["max_order"], ir_duration=cfg["ir_duration"],
         source=None if cfg["source"] is None else np.asarray(cfg["source"], dtype=np.float64),
-        with_rir=bool(with_rir),
-        min_source_distance=float(cfg["min_source_distance"]),
+        with_rir=with_rir, min_source_distance=cfg["min_source_distance"],
     )
     splits = [r["split"] for r in manifest["samples"]]
     summary = {
@@ -200,7 +135,7 @@ def cmd_gen_data(cfg):
         "n_samples": len(manifest["samples"]),
         "train": splits.count("train"),
         "val": splits.count("val"),
-        "with_rir": bool(with_rir),
+        "with_rir": with_rir,
         "signal": manifest["signal"],
     }
     print(json.dumps(summary, sort_keys=True))
@@ -233,7 +168,7 @@ def cmd_train(cfg):
 
 def _parse_pose(spec):
     try:
-        values = [float(v) for v in str(spec).split(",")]
+        values = [float(v) for v in spec.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad pose {spec!r}: {exc}") from exc
     if len(values) != 4:
@@ -268,8 +203,6 @@ def cmd_eval(cfg):
     checkpoint = _require(cfg, "checkpoint", "--checkpoint")
     dataset = Dataset.load(_require(cfg, "dataset", "--dataset"))
     split = cfg["split"]
-    if split not in ("train", "val"):
-        raise ConfigError(f"split must be train or val, got {split!r}")
     model = SceneModel.load(checkpoint)
     if model.mode == "rir" and not dataset.manifest.get("with_rir"):
         raise ConfigError("rir-mode checkpoint but the dataset has no impulse responses")
@@ -294,14 +227,13 @@ def cmd_eval(cfg):
 
 
 def cmd_ablate(cfg):
-    axis = cfg["axis"]
-    if axis not in ("alpha_init", "vicinity"):
-        raise ConfigError("axis must be alpha_init or vicinity")
+    axis = _require(cfg, "axis", "--axis")
     if cfg["mode"] != "binaural":
         raise ConfigError("ablate scores renders, so it needs binaural mode")
     out = _require(cfg, "out", "--out")
     dataset = Dataset.load(_require(cfg, "dataset", "--dataset"))
-    iterations = cfg["ablate_iterations"] or cfg["iterations"]
+    iterations = (cfg["iterations"] if cfg["ablate_iterations"] is None
+                  else cfg["ablate_iterations"])
     os.makedirs(out, exist_ok=True)
     rows = []
     if axis == "alpha_init":
@@ -326,7 +258,7 @@ def cmd_ablate(cfg):
         log.info("ablation %s=%s: MAG %.4f ENV %.4f", axis, setting["label"],
                  metrics["mag"], metrics["env"])
     table = {"schema_version": SCHEMA_VERSION, "axis": axis,
-             "iterations": int(iterations), "rows": rows}
+             "iterations": iterations, "rows": rows}
     with open(os.path.join(out, "ablation.json"), "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -342,11 +274,9 @@ def cmd_ablate(cfg):
 
 def cmd_bench(cfg):
     checkpoint = _require(cfg, "checkpoint", "--checkpoint")
-    n_renders = int(cfg["n_renders"])
-    if n_renders < 10:
-        raise ConfigError("bench needs at least 10 renders")
+    n_renders = cfg["n_renders"]
     model = SceneModel.load(checkpoint)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     mono = Waveform(rng.standard_normal(model.sample_rate) * 0.25, model.sample_rate)
     lo, hi = model.bounds
     pose = Pose.from_yaw((lo + hi) / 2.0 + np.array([0.3, 0.2, 0.0]), 0.7)
@@ -392,69 +322,42 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(p, seed=True, mode=False):
-    p.add_argument("--config", help="JSON run config; flags override it")
-    if seed:
-        p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, help="BLAS thread count (1 = bit-deterministic)")
-    p.add_argument("--out")
-    if mode:
-        p.add_argument("--mode", choices=["binaural", "rir"])
+# command: (function, help, the setting flags it takes besides --config,
+# --threads and --out; "--flag=key" where the key is not the flag's name)
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "synthesize a shoebox dataset",
+                 "--seed --mode --n=n_samples --signal --with-rir --absorption --ir-duration"),
+    "train": (cmd_train, "train a model on a dataset",
+              "--seed --mode --dataset --point-cloud --iterations --eval-interval --resume"),
+    "render": (cmd_render, "binauralize a mono wav at a pose", "--checkpoint --pose --mono"),
+    "eval": (cmd_eval, "evaluate a checkpoint on a dataset split",
+             "--checkpoint --dataset --split"),
+    "ablate": (cmd_ablate, "sweep alpha-init subsets or vicinity percentiles",
+               "--seed --dataset --axis --iterations=ablate_iterations"),
+    "bench": (cmd_bench, "render latency report", "--seed --checkpoint --n=n_renders"),
+}
+_HELP = {"--resume": "checkpoint directory to continue from", "--pose": "x,y,z,yaw"}
 
 
 def build_parser():
+    """The subcommands; each setting flag takes its type and choices from the
+    settings table."""
     parser = _Parser(prog="gsaudio", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="synthesize a shoebox dataset")
-    _add_common(p, mode=True)
-    p.add_argument("--n", type=int, dest="n_samples")
-    p.add_argument("--signal", choices=["pink", "sweep"])
-    p.add_argument("--with-rir", action="store_const", const=True, dest="with_rir")
-    p.add_argument("--absorption", type=float)
-    p.add_argument("--ir-duration", type=float, dest="ir_duration")
-
-    p = sub.add_parser("train", help="train a model on a dataset")
-    _add_common(p, mode=True)
-    p.add_argument("--dataset")
-    p.add_argument("--point-cloud", dest="point_cloud")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--eval-interval", type=int, dest="eval_interval")
-    p.add_argument("--resume", help="checkpoint directory to continue from")
-
-    p = sub.add_parser("render", help="binauralize a mono wav at a pose")
-    _add_common(p, seed=False)
-    p.add_argument("--checkpoint")
-    p.add_argument("--pose", help="x,y,z,yaw")
-    p.add_argument("--mono")
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
-    _add_common(p, seed=False)
-    p.add_argument("--checkpoint")
-    p.add_argument("--dataset")
-    p.add_argument("--split", choices=["train", "val"])
-
-    p = sub.add_parser("ablate", help="sweep alpha-init subsets or vicinity percentiles")
-    _add_common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--axis", choices=["alpha_init", "vicinity"])
-    p.add_argument("--iterations", type=int, dest="ablate_iterations")
-
-    p = sub.add_parser("bench", help="render latency report")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--n", type=int, dest="n_renders")
+    for command, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON run config; flags override it")
+        p.add_argument("--threads", type=_thread_count,
+                       help="BLAS thread count (1 = bit-deterministic)")
+        for flag, _, key in (f.partition("=") for f in ["--out", *flags.split()]):
+            key = key or flag[2:].replace("-", "_")
+            kind, choices = SETTINGS[key].kind, SETTINGS[key].choices
+            if kind is bool:  # a switch: given means true
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:  # one value: for absorption's number-or-list, a number
+                p.add_argument(flag, dest=key, type=(get_args(kind) or (kind,))[0],
+                               choices=choices or None, help=_HELP.get(flag))
     return parser
-
-
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "render": cmd_render,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "bench": cmd_bench,
-}
 
 
 def main(argv=None):
@@ -468,7 +371,7 @@ def main(argv=None):
         overrides = {k: v for k, v in vars(args).items()
                      if k not in ("command", "config", "threads")}
         cfg = load_run_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ConfigError, SchemaError, DataError, GeometryError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

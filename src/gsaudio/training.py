@@ -28,11 +28,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import settings
 from .autodiff import Tape, Tensor
 from .dataset import Dataset
 from .dsp import HOP, WINDOW, Waveform, env_distance, mag_distance, stft
@@ -53,33 +54,27 @@ METRICS_SCHEMA_VERSION = 1
 
 @dataclass
 class TrainConfig:
-    """The optimisation schedule. ``window`` and ``hop`` must equal the
-    model's, which ``Trainer`` checks."""
+    """The optimisation schedule: run settings, checked against the settings
+    table. ``window`` and ``hop`` must equal the model's (``Trainer`` checks)."""
 
-    iterations: int = 2000
-    lambda_a: float = 0.01
-    lr_alpha: float = 1.6e-4
-    lr_nets: float = 5e-4
-    densify_interval: int = 500
-    densify_threshold: float = 0.0004
-    prune_interval: int = 3000
-    prune_min_neighbors: int = 8
-    prune_radius: float = 0.1
-    eval_interval: int = 200
-    seed: int = 0
-    window: int = WINDOW
-    hop: int = HOP
-    rir_time_batch: int = 1024
+    iterations: int
+    lambda_a: float
+    lr_alpha: float
+    lr_nets: float
+    densify_interval: int
+    densify_threshold: float
+    prune_interval: int
+    prune_min_neighbors: int
+    prune_radius: float
+    eval_interval: int
+    seed: int
+    window: int
+    hop: int
+    rir_time_batch: int
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_a <= 1.0:
-            raise ConfigError("lambda_a must lie in [0, 1]")
-        for name in ("iterations", "eval_interval", "prune_min_neighbors", "rir_time_batch"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("lr_alpha", "lr_nets", "prune_radius", "densify_threshold"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            settings.check(f.name, getattr(self, f.name))
 
 
 # --- loss terms ---

@@ -13,6 +13,7 @@ import numpy as np
 from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tape, Tensor
 from gsaudio.binauralizer import MaskNetwork
+from gsaudio.cli import load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.dsp import Waveform, envelope, istft, mag_distance, stft
 from gsaudio.field import FieldNetwork
@@ -22,7 +23,7 @@ from gsaudio.model import SceneModel
 from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.scene import (AudioPointSet, init_audio_points, project_covariance,
                            prune_outliers, synthetic_cloud, vicinity)
-from gsaudio.training import Trainer, TrainConfig, codec_baselines, loss_reconstruction, \
+from gsaudio.training import Trainer, codec_baselines, loss_reconstruction, \
     loss_volume, total_loss
 from gsaudio.dsp import env_distance
 
@@ -281,8 +282,8 @@ def test_criterion_7_point_management(accept_run, tmp_path):
                        field=FieldNetwork(alpha_dim=52, rng=rng),
                        masknet=MaskNetwork(mode="binaural", rng=rng),
                        source=dataset.source, bounds=dataset.bounds())
-    config = TrainConfig(iterations=10, eval_interval=10, seed=2,
-                         densify_threshold=0.0004)
+    config = train_config_from(load_run_config(overrides={
+        "iterations": 10, "eval_interval": 10, "seed": 2, "densify_threshold": 0.0004}))
     trainer = Trainer(model, dataset, config)
     trainer.stats.counts[:] = 1
     trainer.stats.grad_sum[:] = 0.0

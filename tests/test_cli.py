@@ -1,5 +1,7 @@
 import argparse
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,3 +332,47 @@ def test_cli_surface():
         "bench": ["--seed", "--checkpoint", "--n"],
     }
     assert surface == {name: sorted(common + opts) for name, opts in want.items()}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_threads_must_be_a_positive_integer(tmp_path, value):
+    proc = run_cli(["gen-data", "--out", tmp_path / "d", "--n", 5, "--threads", value])
+    assert proc.returncode == 1
+    assert "--threads" in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
+TRAIN, GEN = ["train", "--dataset", "d"], ["gen-data", "--n", 5]
+BENCH = ["bench", "--checkpoint", "c"]
+BAD_CONFIGS = [
+    ("iterations", "abc", TRAIN), ("iterations", 2.7, TRAIN), ("iterations", True, TRAIN),
+    ("densify_interval", -1, TRAIN),
+    ("mode", "stereo", GEN), ("mode", "stereo", BENCH),
+    ("room", [6, 4], GEN), ("absorption", "hi", GEN), ("with_rir", "no", GEN), ("seed", -1, GEN),
+    ("duration", -1.0, GEN), ("sample_rate", 0, GEN),
+    ("split", "test", ["eval", "--checkpoint", "c", "--dataset", "d"]),
+    ("n_renders", 5, BENCH),
+    ("ablate_iterations", 0, ["ablate", "--dataset", "d", "--axis", "vicinity"]),
+]
+
+
+@pytest.mark.parametrize("key, value, command", BAD_CONFIGS,
+                         ids=[f"{command[0]}-{key}={json.dumps(value)}"
+                              for key, value, command in BAD_CONFIGS])
+def test_bad_config_value_is_named_and_exits_1(tmp_path, key, value, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    proc = run_cli(command + ["--config", path, "--out", tmp_path / "out"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {key}: expected ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_settings_load_without_training():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gsaudio.settings; print('gsaudio.training' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

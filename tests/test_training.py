@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.errors import ConfigError, ContractViolation
 from gsaudio.kdtree import KDTree
 from gsaudio.roomsim import ShoeboxRoom
-from gsaudio.training import (GradStats, TrainConfig, Trainer, _BinauralSample,
+from gsaudio.training import (GradStats, Trainer, _BinauralSample,
                               codec_baselines, loss_reconstruction,
                               loss_reconstruction_binned, loss_volume, mixture_magnitude,
                               nearest_distances, total_loss)
@@ -597,13 +595,8 @@ def test_mono_energy_scale_is_sqrt_energy_ratio(tmp_path):
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lambda_a=1.5)
-    with pytest.raises(ConfigError):
-        TrainConfig(iterations=0)
-
-
-def test_train_config_defaults_match_the_cli_defaults():
-    from gsaudio.cli import _DEFAULTS
-    for f in dataclasses.fields(TrainConfig):
-        assert f.default == _DEFAULTS[f.name], f.name
+    cfg = load_run_config()
+    with pytest.raises(ConfigError, match="lambda_a"):
+        train_config_from(dict(cfg, lambda_a=1.5))
+    with pytest.raises(ConfigError, match="iterations"):
+        train_config_from(cfg, iterations=0)
