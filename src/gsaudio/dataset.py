@@ -18,8 +18,7 @@ import numpy as np
 
 from .dsp import SAMPLE_RATE, Waveform
 from .errors import ConfigError, DataError, GeometryError
-from .roomsim import (HEAD_RADIUS, SPEED_OF_SOUND, ShoeboxRoom, binaural_render,
-                      ear_impulse_responses)
+from .roomsim import HEAD_RADIUS, ShoeboxRoom, binaural_render, ear_impulse_responses
 from .scene import Pose
 from .wavio import read_wav, write_wav
 
@@ -57,6 +56,8 @@ def pink_noise_burst(n, sample_rate, rng):
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(burst) / burst)
     for start_sec in (0.05, 0.55):
         start = int(start_sec * sample_rate)
+        if start >= n:  # a short clip ends before this burst
+            continue
         stop = min(start + burst, n)
         envelope[start:stop] += win[: stop - start]
     x = x * envelope
@@ -107,8 +108,10 @@ def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed
     source = default_source(room) if source is None else np.asarray(source, dtype=np.float64)
     if not room.contains(source, margin=_MARGIN):
         raise GeometryError("source too close to a wall")
-    rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
+    if n < 1:
+        raise ConfigError(f"duration: {duration} s holds no sample at {sample_rate} Hz")
+    rng = np.random.default_rng(seed)
     os.makedirs(os.path.join(out_dir, "mono"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "binaural"), exist_ok=True)
     if with_rir:
@@ -211,13 +214,6 @@ class Dataset:
     @property
     def source(self):
         return np.asarray(self.manifest["source"], dtype=np.float64)
-
-    @property
-    def room(self):
-        spec = self.manifest["room"]
-        return ShoeboxRoom(dimensions=np.asarray(spec["dimensions"]),
-                           absorption=np.asarray(spec["absorption"]),
-                           speed_of_sound=spec.get("speed_of_sound", SPEED_OF_SOUND))
 
     def bounds(self):
         dims = np.asarray(self.manifest["room"]["dimensions"], dtype=np.float64)

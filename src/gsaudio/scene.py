@@ -1,6 +1,7 @@
 """Scene ingestion and geometry: Gaussian-splat point clouds, the derived
 audio point set, poses, covariance projection, vicinity queries, and
-outlier pruning.
+outlier pruning. Vicinity selection and the radius counts behind pruning
+are exact queries of the one neighbour module, ``kdtree``.
 
 Point clouds travel as binary little-endian PLY. The Gaussian cloud uses the
 de-facto splatting schema (x,y,z; f_dc_0..2; f_rest_0..44; opacity;
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DataError, GeometryError, SchemaError
-from .kdtree import KDTree, brute_force_count_within, knn
+from .kdtree import count_within, knn
 
 SH_WIDTH = 48
 ALPHA_PART_ORDER = ("S", "SH", "R", "O")
 ALPHA_PART_WIDTH = {"S": 3, "SH": 48, "R": 4, "O": 1}
 DEFAULT_ALPHA_SELECTION = ("SH", "R")
-BRUTE_FORCE_LIMIT = 256
 
 
 @dataclass
@@ -200,17 +200,9 @@ def outlier_indices(positions, min_neighbors=8, radius=0.1):
     ContractViolation when that is every point."""
     if radius <= 0:
         raise ConfigError("radius must be positive")
-    n = positions.shape[0]
-    counts = np.empty(n, dtype=np.int64)
-    tree = KDTree(positions) if n >= BRUTE_FORCE_LIMIT else None
-    for i in range(n):
-        if tree is None:
-            counts[i] = brute_force_count_within(positions, positions[i], radius)
-        else:
-            counts[i] = tree.count_within(positions[i], radius)
     # count_within includes the query point itself (distance zero)
-    removed = np.flatnonzero(counts - 1 < min_neighbors)
-    if removed.size == n:
+    removed = np.flatnonzero(count_within(positions, radius) - 1 < min_neighbors)
+    if removed.size == positions.shape[0]:
         raise ContractViolation("pruning would remove every point")
     return removed
 

@@ -4,7 +4,9 @@ and checkpointing with bit-identical resume.
 
 Per iteration the loop runs densify (on its cadence), then prune (on its
 cadence), then one gradient step on a randomly drawn training perspective,
-so pruning can never remove a point the current step is about to use.
+so pruning can never remove a point the current step is about to use. Both
+passes measure point spacing with the neighbour module ``kdtree``: densify
+by nearest-neighbour distances, prune by radius counts.
 
 Both binaural masks are constant over frames, so each reconstruction term
 is a quadratic in one gain per bin. With mono magnitudes M (F, T), a target
@@ -39,6 +41,7 @@ from .dataset import Dataset
 from .dsp import HOP, WINDOW, Waveform, env_distance, mag_distance, stft
 from .errors import ConfigError, ContractViolation, EvaluationError, MetricUndefined
 from .irmetrics import rir_metrics
+from .kdtree import nearest_distances
 from .model import SceneModel
 from .optim import Adam, reindex_rows
 from .roomsim import ear_positions
@@ -159,34 +162,6 @@ class TrainResult:
     metrics_path: str
     best_dir: str
     final_dir: str
-
-
-_NN_BLOCK = 2 ** 15  # squared distances per block in nearest_distances
-
-
-def nearest_distances(positions, indices):
-    """Distance from each point ``indices`` of ``positions`` (N, 3) to its
-    nearest other point, 1.0 when N = 1. Rows go in blocks of at most
-    ``_NN_BLOCK`` squared distances, summed one coordinate at a time from
-    zero: ((0 + dx^2) + dy^2) + dz^2, the order of the per-point
-    ``((positions - positions[i]) ** 2).sum(axis=1)``, so a duplicate point
-    reads 0.0 and every distance has the bits of a per-point loop."""
-    indices = np.asarray(indices, dtype=np.int64)
-    n = positions.shape[0]
-    if n == 1:
-        return np.ones(indices.size)
-    out = np.empty(indices.size)
-    block = max(1, _NN_BLOCK // n)
-    coords = positions.T.copy()  # (3, N): each coordinate contiguous
-    for lo in range(0, indices.size, block):
-        rows = coords[:, indices[lo:lo + block]]
-        d2 = np.zeros((rows.shape[1], n))
-        for coord, row in zip(coords, rows):
-            diff = coord - row[:, None]
-            diff *= diff
-            d2 += diff
-        out[lo:lo + block] = np.sqrt(np.partition(d2, 1, axis=1)[:, 1])
-    return out
 
 
 def _sum_squares(a):

@@ -49,6 +49,27 @@ def test_gen_data_same_seed_identical_manifest(tmp_path):
     assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
 
+def test_gen_data_short_clip_skips_late_burst(tmp_path):
+    # the second pink-noise burst starts at 0.55 s, after a 0.5 s clip ends
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"duration": 0.5}))
+    proc = run_cli(["gen-data", "--config", config, "--out", tmp_path / "d", "--n", 5])
+    assert proc.returncode == 0, proc.stderr
+    for kind in ("mono", "binaural"):
+        for path in sorted((tmp_path / "d" / kind).iterdir()):
+            assert read_wav(path)[0].shape[0] == 11025
+
+
+def test_gen_data_clip_without_samples_exits_1(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"duration": 1e-9}))
+    proc = run_cli(["gen-data", "--config", config, "--out", tmp_path / "d", "--n", 5])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: duration: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_metrics_line_count(tiny_run):
     lines = (tiny_run / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 40 // 20 + 1

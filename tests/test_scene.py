@@ -1,10 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gsaudio import kdtree
 from gsaudio.errors import ConfigError, ContractViolation, DataError, SchemaError
-from gsaudio.kdtree import brute_force_knn
+from gsaudio.kdtree import brute_force_count_within, brute_force_knn
 from gsaudio.scene import (AudioPointSet, Pose, alpha_width, outlier_indices,
                            covariance_from_gaussian, init_audio_points,
                            load_audio_points, load_gaussian_cloud, project_covariance,
@@ -287,6 +289,61 @@ def test_prune_matches_quadratic_oracle(trial):
     assert np.array_equal(removed, expect)
     assert np.array_equal(outlier_indices(positions, min_neighbors=3, radius=0.25), expect)
     assert len(retained) == n - len(expect)
+
+
+def assert_outliers_match_per_point_counts(positions, radius):
+    # thresholds at every count c and c - 1: a count off by one either way
+    # moves its point across one of them
+    counts = np.array([brute_force_count_within(positions, p, radius) for p in positions])
+    for min_neighbors in np.unique(np.concatenate([counts, counts - 1])):
+        expect = np.flatnonzero(counts - 1 < min_neighbors)
+        if expect.size == len(positions):
+            with pytest.raises(ContractViolation):
+                outlier_indices(positions, min_neighbors, radius)
+        else:
+            assert np.array_equal(outlier_indices(positions, min_neighbors, radius), expect)
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.5, 10.0])
+def test_outliers_match_per_point_counts_on_uniform_points(radius):
+    positions = np.random.default_rng(4096).uniform(0.0, [6.0, 4.0, 3.0], (4096, 3))
+    assert_outliers_match_per_point_counts(positions, radius)
+
+
+@pytest.mark.parametrize("radius", [0.25, 0.25 * math.sqrt(2), 0.5])
+def test_outliers_match_per_point_counts_on_a_grid(radius):
+    # 24 x 16 x 12 = 4608 points 0.25 m apart: every radius is a tie distance
+    axes = [np.arange(n) * 0.25 for n in (24, 16, 12)]
+    positions = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert_outliers_match_per_point_counts(positions, radius)
+
+
+def ulp_edge_sets(rng, radius):
+    """40 sets spread along x, each a centre plus points at x0 +- r and 1-3
+    ulps either side, on the centre's line and just off it."""
+    sets = []
+    for offset in range(40):
+        center = np.array([3.0 * offset, 0.0, 0.0]) + rng.uniform(0.0, 2.0, 3)
+        pts = [center]
+        for edge in (center[0] - radius, center[0] + radius):
+            for steps in range(-3, 4):
+                x = edge
+                for _ in range(abs(steps)):
+                    x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+                for dy in (0.0, 1e-9 * radius):
+                    pts.append([x, center[1] + dy, center[2]])
+        sets.append(np.array(pts))
+    return np.vstack(sets)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_outliers_match_per_point_counts_at_ulp_distances(monkeypatch, block):
+    # block 1 takes one row per block, so each count sees only its own x window
+    if block is not None:
+        monkeypatch.setattr(kdtree, "_BLOCK", block)
+    rng = np.random.default_rng(11)
+    for radius in rng.uniform(0.01, 1.0, 15):
+        assert_outliers_match_per_point_counts(ulp_edge_sets(rng, radius), radius)
 
 
 def test_prune_refuses_to_empty_the_set():

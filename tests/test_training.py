@@ -6,12 +6,12 @@ from gsaudio.autodiff import Tape, Tensor
 from gsaudio.cli import build_model, load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.errors import ConfigError, ContractViolation
-from gsaudio.kdtree import KDTree
+from gsaudio.kdtree import KDTree, nearest_distances
 from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.training import (GradStats, Trainer, _BinauralSample,
                               codec_baselines, loss_reconstruction,
                               loss_reconstruction_binned, loss_volume, mixture_magnitude,
-                              nearest_distances, total_loss)
+                              total_loss)
 
 ROOM = ShoeboxRoom([6.0, 4.0, 3.0], 0.7)
 
@@ -415,7 +415,8 @@ def test_gradient_statistics_are_per_point_gradient_norms(small_dataset, monkeyp
 
 
 def test_render_and_train_step_build_no_kd_tree(small_dataset, monkeypatch):
-    # 512 points: above scene.BRUTE_FORCE_LIMIT, the size from which a tree pays
+    # no engine path builds a KDTree: render, a train step, densify and a
+    # prune pass that removes points all run at 512 points without one
     def refuse(self, *args, **kwargs):
         raise AssertionError("a k-d tree was built")
 
@@ -427,7 +428,14 @@ def test_render_and_train_step_build_no_kd_tree(small_dataset, monkeypatch):
     assert np.all(np.isfinite(left.samples)) and np.all(np.isfinite(right.samples))
     tcfg = train_config_from(cfg, iterations=1)
     tcfg.densify_interval = 0
-    assert np.isfinite(Trainer(model, small_dataset, tcfg).train_step())
+    tcfg.prune_radius = 0.5
+    tcfg.prune_min_neighbors = 2
+    trainer = Trainer(model, small_dataset, tcfg)
+    assert np.isfinite(trainer.train_step())
+    trainer.densify()
+    before = model.point_count
+    removed = trainer.prune()
+    assert removed > 0 and model.point_count == before - removed
 
 
 def test_identical_seeds_give_identical_traces(small_dataset):
