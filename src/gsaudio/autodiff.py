@@ -31,7 +31,9 @@ class Tensor:
 
     ``param=True`` marks a leaf whose gradient should be reported by
     backward(). ``tracked`` is set automatically on every tensor that
-    depends on a parameter.
+    depends on a parameter. Non-finite data is a ``ContractViolation`` for a
+    leaf (the caller's input) and an ``EvaluationError`` naming the op for an
+    op output.
 
     ``version`` counts in-place writes to ``data``, like PyTorch's per-tensor
     ``_version``: a cache keyed on ``(data, version)`` sees a replaced array by
@@ -109,7 +111,11 @@ def _wrap(x):
 
 
 def _record(tape, op, inputs, out_data, bwd):
-    out = Tensor(out_data)
+    try:
+        out = Tensor(out_data)  # the one finite scan of this output
+    except ContractViolation:
+        raise EvaluationError(f"non-finite output of {op} on inputs of shape "
+                              f"{', '.join(str(t.shape) for t in inputs)}") from None
     if tape is not None and any(t.tracked for t in inputs):
         out.tracked = True
         tape.entries.append(_Entry(op, inputs, out, bwd))

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_weights, save_weights, set_weights
 from .dsp import HOP, WINDOW, Spectrogram, Waveform, istft, stft
 from .errors import ConfigError, ContractViolation
 from .field import CONTEXT_WIDTH
+from .settings import SETTINGS
 
 log = logging.getLogger("gsaudio.binauralizer")
 
@@ -109,10 +109,9 @@ class MaskNetwork:
     """
 
     def __init__(self, mode="binaural", rng=None, seed=None):
-        if mode not in ("binaural", "rir"):
+        if mode not in SETTINGS["mode"].choices:
             raise ConfigError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.seed = seed
         self.width = WIDTH_BINAURAL if mode == "binaural" else WIDTH_RIR
         if rng is None:
             rng = np.random.default_rng(seed)
@@ -200,23 +199,6 @@ class MaskNetwork:
         t = np.asarray(times01, dtype=np.float64).reshape(-1, 1)
         enc_t = Tensor(positional_encoding(t))
         return self._head(tape, [feats, enc_dir, enc_t])
-
-    def save(self, path):
-        header = {
-            "kind": "binauralizer",
-            "mode": self.mode,
-            "topology": {"context_dim": CONTEXT_DIM, "levels": ENCODING_LEVELS,
-                         "width": self.width},
-            "seed": self.seed,
-        }
-        save_weights(path, header, [(p.name, p.data) for p in self.params()])
-
-    @classmethod
-    def load(cls, path):
-        header, arrays = load_weights(path)
-        net = cls(mode=header["mode"], seed=header.get("seed"))
-        set_weights(net.params(), arrays)
-        return net
 
 
 def normalize_position(position, scene_bounds):

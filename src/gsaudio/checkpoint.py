@@ -1,8 +1,9 @@
-"""Network checkpoint file format: one JSON header line followed by the raw
-little-endian float64 weight buffer, tensors in header order. Writes go
-through a temp file and an atomic rename. A network's topology is fixed by
-its module constants, so ``set_weights`` rejects any file whose tensors do
-not match the network's parameters in count and shape."""
+"""Weight file format, used for a checkpoint's model.bin: one JSON header
+line (the caller's fields plus each tensor's name and shape) followed by the
+raw little-endian float64 buffer, tensors in header order. Writes go through
+a temp file and an atomic rename. The networks' topology is fixed by their
+module constants, so ``set_weights`` rejects any file whose tensors do not
+match the parameters in count and shape."""
 
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def set_weights(params, arrays):
     (``load_weights`` order); the two must match in count and shapes."""
     if len(params) != len(arrays):
         raise ContractViolation(
-            f"checkpoint holds {len(arrays)} tensors, the network has {len(params)}")
+            f"checkpoint holds {len(arrays)} tensors, the networks have {len(params)}")
     for p, arr in zip(params, arrays):
         if p.data.shape != arr.shape:
             raise ContractViolation(f"checkpoint shape mismatch for {p.name}")

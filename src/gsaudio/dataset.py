@@ -20,6 +20,7 @@ from .dsp import SAMPLE_RATE, Waveform
 from .errors import ConfigError, DataError, GeometryError
 from .roomsim import HEAD_RADIUS, ShoeboxRoom, binaural_render, ear_impulse_responses
 from .scene import Pose
+from .settings import SETTINGS
 from .wavio import read_wav, write_wav
 
 SCHEMA_VERSION = 1
@@ -29,6 +30,7 @@ TRAIN_FRACTION = 0.8
 RIR_SMOOTHING_MS = 4.0
 SWEEP_F0 = 80.0
 SWEEP_F1 = 8000.0
+BURST_STARTS = (0.05, 0.55)  # seconds
 
 
 @dataclass
@@ -54,7 +56,7 @@ def pink_noise_burst(n, sample_rate, rng):
     envelope = np.zeros(n)
     burst = int(0.35 * sample_rate)
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(burst) / burst)
-    for start_sec in (0.05, 0.55):
+    for start_sec in BURST_STARTS:
         start = int(start_sec * sample_rate)
         if start >= n:  # a short clip ends before this burst
             continue
@@ -101,7 +103,7 @@ def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed
     """
     if n_samples < 5:
         raise ConfigError(f"need at least 5 samples, got {n_samples}")
-    if signal not in ("pink", "sweep"):
+    if signal not in SETTINGS["signal"].choices:
         raise ConfigError(f"unknown signal kind {signal!r}")
     if np.any(room.dimensions <= 2 * _MARGIN):
         raise GeometryError("room too small for the head radius")
@@ -111,6 +113,10 @@ def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ConfigError(f"duration: {duration} s holds no sample at {sample_rate} Hz")
+    # a Hann burst opens at zero, so its first sound is one sample after its start
+    if signal == "pink" and n <= int(BURST_STARTS[0] * sample_rate) + 1:
+        raise ConfigError(f"duration: {duration} s ends before the first pink-noise burst "
+                          f"at {BURST_STARTS[0]} s")
     rng = np.random.default_rng(seed)
     os.makedirs(os.path.join(out_dir, "mono"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "binaural"), exist_ok=True)

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import load_weights, save_weights, set_weights
 from .errors import ContractViolation
 from .scene import Pose, vicinity
 
@@ -43,7 +42,6 @@ class FieldNetwork:
 
     def __init__(self, alpha_dim=52, rng=None, seed=None):
         self.alpha_dim = int(alpha_dim)
-        self.seed = seed
         in_dim = self.alpha_dim + GUIDANCE_DIM
         width = CONTEXT_WIDTH
         if rng is None:
@@ -66,22 +64,6 @@ class FieldNetwork:
             )
         h = ad.dense(tape, x, self.w1, self.b1, relu=True)
         return ad.dense(tape, h, self.w2, self.b2)
-
-    def save(self, path):
-        header = {
-            "kind": "field",
-            "topology": {"alpha_dim": self.alpha_dim, "hidden": CONTEXT_WIDTH,
-                         "context_dim": CONTEXT_WIDTH},
-            "seed": self.seed,
-        }
-        save_weights(path, header, [(p.name, p.data) for p in self.params()])
-
-    @classmethod
-    def load(cls, path):
-        header, arrays = load_weights(path)
-        net = cls(alpha_dim=header["topology"]["alpha_dim"], seed=header.get("seed"))
-        set_weights(net.params(), arrays)
-        return net
 
 
 @dataclass

@@ -1,28 +1,32 @@
 """The assembled engine state: audio points, acoustic field network, and
 binauralizer, plus directory checkpoints.
 
-A checkpoint directory contains points.ply, field.bin, binauralizer.bin and
-config.json. Every file is written to a temp name and renamed into place.
+A checkpoint directory holds points.ply and model.bin, and ``SceneModel`` is
+the only code that knows this layout. model.bin is one ``save_weights``
+file: its header holds the model settings (mode, source, bounds, percentile,
+window, hop, sample rate, seed, point count) and its buffer the field's
+tensors, then the mask network's. Each file is written to a temp name and
+renamed into place, points.ply first; a pair whose point counts differ
+(a save that failed between the two renames) is refused at load.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from .autodiff import Tensor
 from .binauralizer import (AcousticMasks, MaskNetwork, binauralize, normalize_position)
+from .checkpoint import load_weights, save_weights, set_weights
 from .dsp import HOP, SAMPLE_RATE, WINDOW, Waveform
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .field import FieldNetwork, SceneContext, anchor_context, pooled_context
 from .scene import AudioPointSet, Pose, load_audio_points, save_audio_points
 
-CONFIG_NAME = "config.json"
 POINTS_NAME = "points.ply"
-FIELD_NAME = "field.bin"
-BINAURALIZER_NAME = "binauralizer.bin"
+MODEL_NAME = "model.bin"
+SCHEMA_VERSION = 2
 
 
 class SceneModel:
@@ -148,14 +152,11 @@ class SceneModel:
         # the live arrays, not point_set()'s copies: the writer only reads them
         save_audio_points(os.path.join(directory, POINTS_NAME),
                           AudioPointSet(positions=self.positions, alpha=self.alphas.data))
-        self.field.save(os.path.join(directory, FIELD_NAME))
-        self.masknet.save(os.path.join(directory, BINAURALIZER_NAME))
-        config = {
-            "schema_version": 1,
+        header = {
+            "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
-            "source": [float(v) for v in self.source],
-            "bounds": [[float(v) for v in self.bounds[0]],
-                       [float(v) for v in self.bounds[1]]],
+            "source": self.source.tolist(),
+            "bounds": [self.bounds[0].tolist(), self.bounds[1].tolist()],
             "percentile": self.percentile,
             "window": self.window,
             "hop": self.hop,
@@ -163,25 +164,26 @@ class SceneModel:
             "seed": self.seed,
             "point_count": self.point_count,
         }
-        tmp = os.path.join(directory, CONFIG_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, os.path.join(directory, CONFIG_NAME))
+        save_weights(os.path.join(directory, MODEL_NAME), header,
+                     [(p.name, p.data) for p in self.network_params()])
 
     @classmethod
     def load(cls, directory) -> "SceneModel":
-        with open(os.path.join(directory, CONFIG_NAME), "r", encoding="utf-8") as fh:
-            config = json.load(fh)
         points = load_audio_points(os.path.join(directory, POINTS_NAME))
-        field = FieldNetwork.load(os.path.join(directory, FIELD_NAME))
-        masknet = MaskNetwork.load(os.path.join(directory, BINAURALIZER_NAME))
-        return cls(points=points, field=field, masknet=masknet,
-                   source=np.asarray(config["source"]),
-                   bounds=(np.asarray(config["bounds"][0]), np.asarray(config["bounds"][1])),
-                   percentile=config["percentile"], window=config["window"],
-                   hop=config["hop"], sample_rate=config["sample_rate"],
-                   seed=config.get("seed"))
+        path = os.path.join(directory, MODEL_NAME)
+        header, arrays = load_weights(path)
+        if header.get("schema_version") != SCHEMA_VERSION:
+            raise DataError(f"{path}: not a schema {SCHEMA_VERSION} model file")
+        if header["point_count"] != len(points):
+            raise DataError(f"{path}: holds {header['point_count']} points, "
+                            f"{POINTS_NAME} has {len(points)}")
+        field = FieldNetwork(alpha_dim=points.alpha_dim, seed=header["seed"])
+        masknet = MaskNetwork(mode=header["mode"], seed=header["seed"])
+        set_weights(field.params() + masknet.params(), arrays)
+        return cls(points=points, field=field, masknet=masknet, source=header["source"],
+                   bounds=header["bounds"], percentile=header["percentile"],
+                   window=header["window"], hop=header["hop"],
+                   sample_rate=header["sample_rate"], seed=header["seed"])
 
     def network_params(self):
         return self.field.params() + self.masknet.params()

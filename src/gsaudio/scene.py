@@ -304,7 +304,11 @@ def _read_ply(path):
     if count is None:
         raise DataError(f"{path}: no vertex element")
     dtype = np.dtype([(name, code) for name, code in props])
-    rows = np.frombuffer(raw, dtype=dtype, count=count, offset=end + len(b"end_header\n"))
+    offset = end + len(b"end_header\n")
+    if len(raw) - offset < count * dtype.itemsize:
+        raise DataError(f"{path}: truncated: {count} rows need {count * dtype.itemsize} bytes, "
+                        f"the file holds {len(raw) - offset}")
+    rows = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
     return {name: rows[name].astype(np.float64) for name, _ in props}
 
 

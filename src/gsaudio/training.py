@@ -297,8 +297,6 @@ class Trainer:
         l_v = loss_volume(tape, model.alphas, active)
         loss_t = total_loss(tape, l_m, l_v, self.config.lambda_a)
         loss = float(loss_t.data)
-        if not np.isfinite(loss):
-            raise EvaluationError(f"non-finite loss on sample {sample.sample_id}")
         grads = tape.backward(loss_t)
         self.stats.update(active, np.linalg.norm(grads[model.alphas][active], axis=1))
         self.opt_nets.step(grads)

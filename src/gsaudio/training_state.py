@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -41,18 +42,21 @@ def load_train_state(directory, trainer):
     path = os.path.join(directory, STATE_NAME)
     if not os.path.exists(path):
         raise DataError(f"{directory}: checkpoint has no {STATE_NAME}; cannot resume")
-    with np.load(path, allow_pickle=False) as data:
-        trainer.iteration = int(data["iteration"])
-        trainer.best_value = float(data["best_value"])
-        trainer.rng.bit_generator.state = json.loads(str(data["rng_state"]))
-        trainer.stats.grad_sum = data["grad_sum"].copy()
-        trainer.stats.counts = data["grad_counts"].copy()
-        if data["alpha_t"].shape[0] != trainer.model.point_count:
-            raise DataError("train state does not match point count")
-        trainer.opt_alpha.load_state_arrays(
-            [(data["alpha_m"], data["alpha_v"], data["alpha_t"])])
-        net_states = []
-        for i, t in enumerate(data["net_t"]):
-            m = data[f"net_m_{i}"]
-            net_states.append((m, data[f"net_v_{i}"], np.full(len(m), t)))
-        trainer.opt_nets.load_state_arrays(net_states)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            data = dict(npz)
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise DataError(f"{path}: unreadable train state: {exc}") from exc
+    trainer.iteration = int(data["iteration"])
+    trainer.best_value = float(data["best_value"])
+    trainer.rng.bit_generator.state = json.loads(str(data["rng_state"]))
+    trainer.stats.grad_sum = data["grad_sum"]
+    trainer.stats.counts = data["grad_counts"]
+    if data["alpha_t"].shape[0] != trainer.model.point_count:
+        raise DataError("train state does not match point count")
+    trainer.opt_alpha.load_state_arrays([(data["alpha_m"], data["alpha_v"], data["alpha_t"])])
+    net_states = []
+    for i, t in enumerate(data["net_t"]):
+        m = data[f"net_m_{i}"]
+        net_states.append((m, data[f"net_v_{i}"], np.full(len(m), t)))
+    trainer.opt_nets.load_state_arrays(net_states)

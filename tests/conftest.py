@@ -7,7 +7,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+
+from gsaudio.checkpoint import load_weights, save_weights
+from gsaudio.model import MODEL_NAME, SceneModel
+from gsaudio.scene import AudioPointSet
 
 
 def run_cli(args, cwd=None, env_extra=None):
@@ -20,6 +25,25 @@ def run_cli(args, cwd=None, env_extra=None):
         capture_output=True, text=True, cwd=cwd, env=env,
     )
     return proc
+
+
+def save_model_around(directory, field, masknet):
+    """Save a 16-point ``SceneModel`` holding ``field`` and ``masknet`` to
+    ``directory``; returns the directory."""
+    rng = np.random.default_rng(12)
+    points = AudioPointSet(positions=rng.uniform(0.0, 3.0, (16, 3)),
+                           alpha=rng.standard_normal((16, field.alpha_dim)) * 0.1)
+    SceneModel(points=points, field=field, masknet=masknet, source=np.full(3, 1.5),
+               bounds=(np.zeros(3), np.full(3, 3.0))).save(directory)
+    return directory
+
+
+def rewrite_model_bin(directory, edit):
+    """Rewrite ``directory``'s model.bin with its own header and the
+    (name, array) pairs that ``edit`` returns for its tensors."""
+    path = os.path.join(directory, MODEL_NAME)
+    header, arrays = load_weights(path)
+    save_weights(path, header, edit([(t["name"], a) for t, a in zip(header["tensors"], arrays)]))
 
 
 @pytest.fixture(scope="session")

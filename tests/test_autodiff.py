@@ -3,7 +3,7 @@ import pytest
 
 from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tape, Tensor, finite_difference_check
-from gsaudio.errors import ContractViolation
+from gsaudio.errors import ContractViolation, EvaluationError
 
 
 def test_square_gradient_at_three():
@@ -40,6 +40,13 @@ def test_two_layer_perceptron_matches_finite_differences():
 def test_non_finite_tensor_rejected():
     with pytest.raises(ContractViolation):
         Tensor(np.array([1.0, np.nan]))
+
+
+def test_non_finite_op_output_is_a_numeric_failure_naming_the_op():
+    x = Tensor(np.array([[1e200, 1.0]]), param=True)
+    with np.errstate(over="ignore"), pytest.raises(
+            EvaluationError, match=r"^non-finite output of square on inputs of shape \(1, 2\)$"):
+        ad.square(Tape(), x)
 
 
 @pytest.mark.parametrize("name", [

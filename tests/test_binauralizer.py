@@ -8,10 +8,13 @@ from gsaudio import autodiff as ad
 from gsaudio.binauralizer import (AcousticMasks, MaskNetwork, binauralize,
                                   normalize_position, positional_encoding,
                                   transform_direction)
-from gsaudio.checkpoint import save_weights
 from gsaudio.dsp import Spectrogram, Waveform, istft, stft
 from gsaudio.errors import ConfigError, ContractViolation
+from gsaudio.field import FieldNetwork
+from gsaudio.model import SceneModel
 from gsaudio.scene import Pose
+
+from conftest import rewrite_model_bin, save_model_around
 
 N_BINS = 257
 
@@ -386,9 +389,7 @@ def test_normalize_position_idempotent_for_identical_bounds():
 
 def test_mask_checkpoint_round_trip(tmp_path):
     net = MaskNetwork(mode="binaural", seed=21)
-    path = tmp_path / "b.bin"
-    net.save(path)
-    back = MaskNetwork.load(path)
+    back = SceneModel.load(save_model_around(tmp_path, FieldNetwork(seed=21), net)).masknet
     assert back.mode == "binaural"
     pose = Pose.from_yaw([0.4, 0.4, 0.0], 1.1)
     ctx = random_context(np.random.default_rng(22))
@@ -399,10 +400,7 @@ def test_mask_checkpoint_round_trip(tmp_path):
 
 
 def test_partial_mask_checkpoint_rejected(tmp_path):
-    net = MaskNetwork(mode="binaural", seed=23)
-    path = tmp_path / "b.bin"
-    header = {"kind": "binauralizer", "mode": "binaural", "seed": 23,
-              "topology": {"context_dim": 128, "levels": 10, "width": 128}}
-    save_weights(path, header, [(p.name, p.data) for p in net.params()[:-1]])
+    save_model_around(tmp_path, FieldNetwork(seed=23), MaskNetwork(mode="binaural", seed=23))
+    rewrite_model_bin(tmp_path, lambda named: named[:-1])
     with pytest.raises(ContractViolation, match="tensors"):
-        MaskNetwork.load(path)
+        SceneModel.load(tmp_path)

@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+import shutil
 import subprocess
 import sys
 
@@ -70,6 +72,17 @@ def test_gen_data_clip_without_samples_exits_1(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_data_clip_before_the_first_burst_exits_1(tmp_path):
+    # the first pink-noise burst starts at 0.05 s
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"duration": 0.001}))
+    proc = run_cli(["gen-data", "--config", config, "--out", tmp_path / "d", "--n", 5])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: duration: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_metrics_line_count(tiny_run):
     lines = (tiny_run / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 40 // 20 + 1
@@ -80,8 +93,40 @@ def test_train_metrics_line_count(tiny_run):
 
 def test_train_writes_checkpoints(tiny_run):
     for sub in ("final", "best"):
-        for name in ("points.ply", "field.bin", "binauralizer.bin", "config.json"):
-            assert (tiny_run / sub / name).exists()
+        assert sorted(p.name for p in (tiny_run / sub).iterdir()) == [
+            "model.bin", "points.ply", "train_state.npz"]
+
+
+def test_diverging_learning_rate_exits_2_with_diagnostic(tiny_dataset, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lr_nets": 1e6, "lr_alpha": 1e6, "iterations": 20,
+                                  "eval_interval": 10, "init_points": 64}))
+    run = tmp_path / "run"
+    proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset, "--out", run])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    error = json.loads((run / "diagnostic.json").read_text())["error"]
+    assert re.fullmatch(r"non-finite output of [a-z_]+ on inputs of shape .+", error), error
+    assert f"numeric failure: {error}" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["points.ply", "model.bin", "train_state.npz"])
+def test_truncated_checkpoint_file_exits_1(tiny_run, tiny_dataset, tmp_path, name):
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(tiny_run / "final", checkpoint)
+    data = (checkpoint / name).read_bytes()
+    (checkpoint / name).write_bytes(data[: len(data) // 2])
+    if name == "train_state.npz":
+        proc = run_cli(["train", "--dataset", tiny_dataset, "--out", tmp_path / "run",
+                        "--iterations", 60, "--resume", checkpoint])
+    else:
+        mono_path = tmp_path / "probe.wav"
+        write_wav(mono_path, np.zeros(2048), 22050)
+        proc = run_cli(["render", "--checkpoint", checkpoint, "--pose", "3.0,2.0,1.5,1.57",
+                        "--mono", mono_path, "--out", tmp_path / "out.wav"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and name in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_render_reports_rms(tiny_run, tmp_path):
@@ -305,7 +350,8 @@ def test_rir_checkpoint_resumes_without_mode(tmp_path):
     last = json.loads((run / "metrics.jsonl").read_text().splitlines()[-1])
     assert last["iteration"] == 4
     assert "t60_error_percent" in last
-    assert json.loads((run / "final" / "config.json").read_text())["mode"] == "rir"
+    with open(run / "final" / "model.bin", "rb") as fh:
+        assert json.loads(fh.readline())["mode"] == "rir"
 
 
 def test_threads_in_a_config_file_is_rejected(tmp_path):

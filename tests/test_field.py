@@ -3,10 +3,13 @@ import pytest
 
 from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tensor, finite_difference_check
-from gsaudio.checkpoint import save_weights
+from gsaudio.binauralizer import MaskNetwork
 from gsaudio.errors import ContractViolation
 from gsaudio.field import FieldNetwork, guidance_rows, pooled_context
+from gsaudio.model import SceneModel
 from gsaudio.scene import Pose
+
+from conftest import rewrite_model_bin, save_model_around
 
 
 def guidance(point, anchor):
@@ -159,9 +162,7 @@ def test_pooled_context_differentiable_in_alpha():
 
 def test_field_checkpoint_round_trip(tmp_path):
     net = FieldNetwork(alpha_dim=52, seed=9)
-    path = tmp_path / "field.bin"
-    net.save(path)
-    back = FieldNetwork.load(path)
+    back = SceneModel.load(save_model_around(tmp_path, net, MaskNetwork(seed=9))).field
     rng = np.random.default_rng(10)
     alpha = rng.standard_normal(52)
     g = guidance(rng.standard_normal(3), np.zeros(3))
@@ -169,22 +170,17 @@ def test_field_checkpoint_round_trip(tmp_path):
 
 
 def test_partial_field_checkpoint_rejected(tmp_path):
-    net = FieldNetwork(alpha_dim=52, seed=9)
-    path = tmp_path / "field.bin"
-    header = {"kind": "field", "seed": 9,
-              "topology": {"alpha_dim": 52, "hidden": 64, "context_dim": 64}}
-    save_weights(path, header, [(p.name, p.data) for p in net.params()[:3]])
+    save_model_around(tmp_path, FieldNetwork(alpha_dim=52, seed=9), MaskNetwork(seed=9))
+    rewrite_model_bin(tmp_path, lambda named: named[:3])
     with pytest.raises(ContractViolation, match="3 tensors"):
-        FieldNetwork.load(path)
+        SceneModel.load(tmp_path)
 
 
 def test_field_checkpoint_of_another_width_rejected(tmp_path):
     rng = np.random.default_rng(11)
-    path = tmp_path / "field.bin"
+    save_model_around(tmp_path, FieldNetwork(alpha_dim=52, seed=9), MaskNetwork(seed=9))
     shapes = {"field.w1": (55, 32), "field.b1": (32,), "field.w2": (32, 32), "field.b2": (32,)}
-    header = {"kind": "field", "seed": None,
-              "topology": {"alpha_dim": 52, "hidden": 32, "context_dim": 32}}
-    save_weights(path, header, [(name, rng.standard_normal(shape))
-                                for name, shape in shapes.items()])
+    rewrite_model_bin(tmp_path, lambda named: [
+        (name, rng.standard_normal(shapes[name]) if name in shapes else a) for name, a in named])
     with pytest.raises(ContractViolation, match="field.w1"):
-        FieldNetwork.load(path)
+        SceneModel.load(tmp_path)

@@ -9,7 +9,7 @@ from gsaudio.binauralizer import MaskNetwork, binauralize
 from gsaudio.cli import build_model, load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.dsp import Waveform
-from gsaudio.errors import ConfigError
+from gsaudio.errors import ConfigError, DataError
 from gsaudio.field import FieldNetwork, pooled_context
 from gsaudio.model import SceneModel
 from gsaudio.roomsim import ShoeboxRoom
@@ -43,6 +43,24 @@ def test_checkpoint_round_trip_renders_identically(tmp_path):
     assert np.array_equal(r1.samples, r2.samples)
     assert back.point_count == model.point_count
     assert back.mode == "binaural"
+
+
+@pytest.mark.parametrize("mode", ["binaural", "rir"])
+def test_save_load_save_is_byte_identical(tmp_path, mode):
+    make_model(mode=mode, seed=6).save(tmp_path / "a")
+    SceneModel.load(tmp_path / "a").save(tmp_path / "b")
+    for name in ("points.ply", "model.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_point_count_mismatch_is_a_data_error(tmp_path):
+    model = make_model(seed=7, n_points=20)
+    model.save(tmp_path)
+    points = model.point_set()
+    scene.save_audio_points(tmp_path / "points.ply",
+                            AudioPointSet(positions=points.positions[:19], alpha=points.alpha[:19]))
+    with pytest.raises(DataError, match="holds 20 points, points.ply has 19"):
+        SceneModel.load(tmp_path)
 
 
 def test_render_runs_one_stft_and_two_istfts(monkeypatch):
