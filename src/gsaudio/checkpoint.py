@@ -1,8 +1,9 @@
 """Weight file format, used for a checkpoint's model.bin: one JSON header
 line (the caller's fields plus each tensor's name and shape) followed by the
 raw little-endian float64 buffer, tensors in header order. Writes go through
-a temp file and an atomic rename. The networks' topology is fixed by their
-module constants, so ``set_weights`` rejects any file whose tensors do not
+a temp file and an atomic rename. A model file holds the point positions and
+alphas, then the network tensors; the networks' topology is fixed by their
+module constants, so ``set_weights`` rejects any network tensors that do not
 match the parameters in count and shape."""
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def save_weights(path, header: dict, named_arrays):
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for _, arr in named:
-            fh.write(arr.tobytes())
+            fh.write(arr.data)
     os.replace(tmp, path)
 
 
@@ -46,12 +47,10 @@ def load_weights(path):
             raise DataError(f"{path}: not a weight checkpoint")
         arrays = []
         for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            arr = np.empty(spec["shape"], dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
                 raise DataError(f"{path}: truncated weight buffer")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+            arrays.append(arr)
     return header, arrays
 
 

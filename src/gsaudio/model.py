@@ -1,13 +1,12 @@
 """The assembled engine state: audio points, acoustic field network, and
 binauralizer, plus directory checkpoints.
 
-A checkpoint directory holds points.ply and model.bin, and ``SceneModel`` is
-the only code that knows this layout. model.bin is one ``save_weights``
-file: its header holds the model settings (mode, source, bounds, percentile,
-window, hop, sample rate, seed, point count) and its buffer the field's
-tensors, then the mask network's. Each file is written to a temp name and
-renamed into place, points.ply first; a pair whose point counts differ
-(a save that failed between the two renames) is refused at load.
+A saved model is one file, model.bin, and ``SceneModel`` is the only code
+that knows its layout. It is a ``save_weights`` file: its header holds the
+model settings (mode, source, bounds, percentile, window, hop, sample rate,
+seed) and its buffer the (N, 3) positions, the (N, K) alphas, then the
+field's tensors and the mask network's. It is written to a temp name and
+renamed into place, so a failed save leaves the previous model whole.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from .checkpoint import load_weights, save_weights, set_weights
 from .dsp import HOP, SAMPLE_RATE, WINDOW, Waveform
 from .errors import ConfigError, DataError
 from .field import FieldNetwork, SceneContext, anchor_context, pooled_context
-from .scene import AudioPointSet, Pose, load_audio_points, save_audio_points
+from .scene import AudioPointSet, Pose
 
-POINTS_NAME = "points.ply"
 MODEL_NAME = "model.bin"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class SceneModel:
@@ -149,9 +147,6 @@ class SceneModel:
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
-        # the live arrays, not point_set()'s copies: the writer only reads them
-        save_audio_points(os.path.join(directory, POINTS_NAME),
-                          AudioPointSet(positions=self.positions, alpha=self.alphas.data))
         header = {
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
@@ -162,24 +157,22 @@ class SceneModel:
             "hop": self.hop,
             "sample_rate": self.sample_rate,
             "seed": self.seed,
-            "point_count": self.point_count,
         }
         save_weights(os.path.join(directory, MODEL_NAME), header,
-                     [(p.name, p.data) for p in self.network_params()])
+                     [("positions", self.positions), ("alphas", self.alphas.data)]
+                     + [(p.name, p.data) for p in self.network_params()])
 
     @classmethod
     def load(cls, directory) -> "SceneModel":
-        points = load_audio_points(os.path.join(directory, POINTS_NAME))
         path = os.path.join(directory, MODEL_NAME)
         header, arrays = load_weights(path)
         if header.get("schema_version") != SCHEMA_VERSION:
-            raise DataError(f"{path}: not a schema {SCHEMA_VERSION} model file")
-        if header["point_count"] != len(points):
-            raise DataError(f"{path}: holds {header['point_count']} points, "
-                            f"{POINTS_NAME} has {len(points)}")
+            raise DataError(f"{path}: schema {header.get('schema_version')} model file; "
+                            f"this version reads schema {SCHEMA_VERSION} only")
+        points = AudioPointSet(positions=arrays[0], alpha=arrays[1])
         field = FieldNetwork(alpha_dim=points.alpha_dim, seed=header["seed"])
         masknet = MaskNetwork(mode=header["mode"], seed=header["seed"])
-        set_weights(field.params() + masknet.params(), arrays)
+        set_weights(field.params() + masknet.params(), arrays[2:])
         return cls(points=points, field=field, masknet=masknet, source=header["source"],
                    bounds=header["bounds"], percentile=header["percentile"],
                    window=header["window"], hop=header["hop"],

@@ -7,7 +7,8 @@ Point clouds travel as binary little-endian PLY. The Gaussian cloud uses the
 de-facto splatting schema (x,y,z; f_dc_0..2; f_rest_0..44; opacity;
 scale_0..2; rot_0..3); readers accept float32 or float64 properties and
 ignore extras such as normals, writers emit float64 so a save/load round
-trip is bit-identical. Audio point sets use x,y,z plus alpha_0..K-1.
+trip is bit-identical. Audio point sets are saved only inside a model file
+(see ``model``).
 """
 
 from __future__ import annotations
@@ -350,24 +351,3 @@ def load_gaussian_cloud(path) -> GaussianCloud:
     return GaussianCloud(positions=positions, quaternions=quats, scales=scales,
                          opacities=opacities, sh=sh)
 
-
-def save_audio_points(path, points: AudioPointSet):
-    names = ["x", "y", "z"] + [f"alpha_{i}" for i in range(points.alpha_dim)]
-    columns = [points.positions[:, 0], points.positions[:, 1], points.positions[:, 2]]
-    columns += [points.alpha[:, i] for i in range(points.alpha_dim)]
-    _write_ply(path, names, columns)
-
-
-def load_audio_points(path) -> AudioPointSet:
-    data = _read_ply(path)
-    for name in ("x", "y", "z"):
-        if name not in data:
-            raise SchemaError(name, f"{path}: missing required field: {name}")
-    k = 0
-    while f"alpha_{k}" in data:
-        k += 1
-    if k == 0:
-        raise SchemaError("alpha_0", f"{path}: missing required field: alpha_0")
-    positions = np.column_stack([data["x"], data["y"], data["z"]])
-    alpha = np.column_stack([data[f"alpha_{i}"] for i in range(k)])
-    return AudioPointSet(positions=positions, alpha=alpha)

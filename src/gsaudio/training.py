@@ -274,6 +274,9 @@ class Trainer:
 
     # --- single step ---
 
+    # every op output is scanned, so a non-finite value is reported as an
+    # EvaluationError, not as a numpy warning
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def train_step(self, sample=None):
         """One forward/backward/update on a training perspective; returns the
         scalar loss. Draws the perspective from the run RNG when not given."""
@@ -397,11 +400,7 @@ class Trainer:
                     dropped = self.prune()
                     if dropped:
                         log.info("iteration %d: pruned %d points", it, dropped)
-                try:
-                    loss = self.train_step()
-                except EvaluationError as exc:
-                    self._dump_diagnostic(out_dir, it, str(exc))
-                    raise
+                loss = self.train_step()
                 self.loss_trace.append(loss)
                 self.point_counts.append(self.model.point_count)
                 self._window_losses.append(loss)
@@ -412,6 +411,9 @@ class Trainer:
                         self.best_value = float(value)
                         self._save_checkpoint(best_dir)
             self._save_checkpoint(final_dir)
+        except EvaluationError as exc:
+            self._dump_diagnostic(out_dir, str(exc))
+            raise
         finally:
             handle.close()
         trace_path = os.path.join(out_dir, LOSS_TRACE_NAME)
@@ -426,12 +428,13 @@ class Trainer:
         self.model.save(directory)
         save_train_state(directory, self)
 
-    def _dump_diagnostic(self, out_dir, iteration, message):
+    def _dump_diagnostic(self, out_dir, message):
         path = os.path.join(out_dir, "diagnostic.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"iteration": iteration, "error": message}, fh, indent=2)
+            json.dump({"iteration": self.iteration, "points": self.model.point_count,
+                       "error": message}, fh, indent=2)
             fh.write("\n")
-        log.error("aborted at iteration %d: %s (diagnostic: %s)", iteration, message, path)
+        log.error("aborted at iteration %d: %s (diagnostic: %s)", self.iteration, message, path)
 
     @classmethod
     def resume(cls, checkpoint_dir, dataset: Dataset, config: TrainConfig) -> "Trainer":

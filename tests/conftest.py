@@ -39,11 +39,13 @@ def save_model_around(directory, field, masknet):
 
 
 def rewrite_model_bin(directory, edit):
-    """Rewrite ``directory``'s model.bin with its own header and the
-    (name, array) pairs that ``edit`` returns for its tensors."""
+    """Rewrite ``directory``'s model.bin with its own header, its two point
+    tensors, and the (name, array) pairs that ``edit`` returns for its
+    network tensors."""
     path = os.path.join(directory, MODEL_NAME)
     header, arrays = load_weights(path)
-    save_weights(path, header, edit([(t["name"], a) for t, a in zip(header["tensors"], arrays)]))
+    named = [(t["name"], a) for t, a in zip(header["tensors"], arrays)]
+    save_weights(path, header, named[:2] + edit(named[2:]))
 
 
 @pytest.fixture(scope="session")

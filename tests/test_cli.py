@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from gsaudio.scene import save_gaussian_cloud, synthetic_cloud
 from gsaudio.wavio import read_wav, write_wav
 
 from conftest import run_cli
@@ -94,7 +95,7 @@ def test_train_metrics_line_count(tiny_run):
 def test_train_writes_checkpoints(tiny_run):
     for sub in ("final", "best"):
         assert sorted(p.name for p in (tiny_run / sub).iterdir()) == [
-            "model.bin", "points.ply", "train_state.npz"]
+            "model.bin", "train_state.npz"]
 
 
 def test_diverging_learning_rate_exits_2_with_diagnostic(tiny_dataset, tmp_path):
@@ -105,12 +106,13 @@ def test_diverging_learning_rate_exits_2_with_diagnostic(tiny_dataset, tmp_path)
     proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset, "--out", run])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     error = json.loads((run / "diagnostic.json").read_text())["error"]
     assert re.fullmatch(r"non-finite output of [a-z_]+ on inputs of shape .+", error), error
     assert f"numeric failure: {error}" in proc.stderr
 
 
-@pytest.mark.parametrize("name", ["points.ply", "model.bin", "train_state.npz"])
+@pytest.mark.parametrize("name", ["model.bin", "train_state.npz"])
 def test_truncated_checkpoint_file_exits_1(tiny_run, tiny_dataset, tmp_path, name):
     checkpoint = tmp_path / "ckpt"
     shutil.copytree(tiny_run / "final", checkpoint)
@@ -126,6 +128,50 @@ def test_truncated_checkpoint_file_exits_1(tiny_run, tiny_dataset, tmp_path, nam
                         "--mono", mono_path, "--out", tmp_path / "out.wav"])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and name in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_truncated_point_cloud_exits_1(tiny_dataset, tmp_path):
+    cloud = tmp_path / "cloud.ply"
+    save_gaussian_cloud(cloud, synthetic_cloud([0, 0, 0], [6, 4, 3], 64,
+                                               np.random.default_rng(0)))
+    data = cloud.read_bytes()
+    cloud.write_bytes(data[: len(data) // 2])
+    proc = run_cli(["train", "--dataset", tiny_dataset, "--out", tmp_path / "run",
+                    "--iterations", 2, "--point-cloud", cloud])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "cloud.ply: truncated" in proc.stderr, \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_train_state_of_another_save_exits_1(tiny_dataset, tmp_path):
+    # same seed and point count, no densify: only the checksum tells them apart
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"densify_interval": 0, "init_points": 64,
+                                  "eval_interval": 20, "seed": 5}))
+    for name, iterations in (("a", 40), ("b", 20)):
+        proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset,
+                        "--out", tmp_path / name, "--iterations", iterations])
+        assert proc.returncode == 0, proc.stderr
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    shutil.copy(tmp_path / "a" / "final" / "model.bin", mixed)
+    shutil.copy(tmp_path / "b" / "final" / "train_state.npz", mixed)
+    proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset,
+                    "--out", tmp_path / "resumed", "--iterations", 60, "--resume", mixed])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "train_state.npz" in proc.stderr and "model.bin" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_output_exits_3(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = run_cli(["gen-data", "--out", blocker / "sub", "--n", 5])
+    assert proc.returncode == 3, proc.stderr
+    assert "i/o error:" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -3,9 +3,10 @@ import pytest
 
 from gsaudio import binauralizer as binauralizer_module
 from gsaudio import field as field_module
-from gsaudio import scene
+from gsaudio import checkpoint
 from gsaudio.autodiff import Tape
 from gsaudio.binauralizer import MaskNetwork, binauralize
+from gsaudio.checkpoint import load_weights, save_weights
 from gsaudio.cli import build_model, load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.dsp import Waveform
@@ -49,17 +50,29 @@ def test_checkpoint_round_trip_renders_identically(tmp_path):
 def test_save_load_save_is_byte_identical(tmp_path, mode):
     make_model(mode=mode, seed=6).save(tmp_path / "a")
     SceneModel.load(tmp_path / "a").save(tmp_path / "b")
-    for name in ("points.ply", "model.bin"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    a, b = (tmp_path / side / "model.bin" for side in ("a", "b"))
+    assert a.read_bytes() == b.read_bytes()
 
 
-def test_point_count_mismatch_is_a_data_error(tmp_path):
+def test_model_file_leads_with_the_points(tmp_path):
     model = make_model(seed=7, n_points=20)
     model.save(tmp_path)
-    points = model.point_set()
-    scene.save_audio_points(tmp_path / "points.ply",
-                            AudioPointSet(positions=points.positions[:19], alpha=points.alpha[:19]))
-    with pytest.raises(DataError, match="holds 20 points, points.ply has 19"):
+    header, arrays = load_weights(tmp_path / "model.bin")
+    assert [t["name"] for t in header["tensors"][:2]] == ["positions", "alphas"]
+    assert np.array_equal(arrays[0], model.positions)
+    assert np.array_equal(arrays[1], model.alphas.data)
+    assert len(arrays) == 2 + len(model.network_params())
+    assert "point_count" not in header
+
+
+def test_schema_2_model_file_is_refused(tmp_path):
+    # the layout before the points moved into model.bin: networks only
+    make_model(seed=7, n_points=20).save(tmp_path)
+    header, arrays = load_weights(tmp_path / "model.bin")
+    header.update(schema_version=2, point_count=20)
+    save_weights(tmp_path / "model.bin", header,
+                 [(t["name"], a) for t, a in zip(header["tensors"][2:], arrays[2:])])
+    with pytest.raises(DataError, match="schema 2 model file"):
         SceneModel.load(tmp_path)
 
 
@@ -156,7 +169,7 @@ def test_failed_points_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
             self.fh.write(data[: len(data) // 2])
             raise OSError("no space left on device")
 
-    monkeypatch.setattr(scene, "open", lambda *a, **k: FailingWrite(real_open(*a, **k)),
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FailingWrite(real_open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError):
         model.save(tmp_path / "ckpt")

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from gsaudio import kdtree
+from gsaudio.binauralizer import MaskNetwork
 from gsaudio.errors import ConfigError, ContractViolation, DataError, SchemaError
+from gsaudio.field import FieldNetwork
 from gsaudio.kdtree import brute_force_count_within, brute_force_knn
+from gsaudio.model import SceneModel
 from gsaudio.scene import (AudioPointSet, Pose, alpha_width, outlier_indices,
                            covariance_from_gaussian, init_audio_points,
-                           load_audio_points, load_gaussian_cloud, project_covariance,
-                           prune_outliers, quaternion_rotation, save_audio_points,
-                           save_gaussian_cloud, synthetic_cloud, vicinity)
+                           load_gaussian_cloud, project_covariance, prune_outliers,
+                           quaternion_rotation, save_gaussian_cloud, synthetic_cloud,
+                           vicinity)
 
 
 @pytest.fixture
@@ -73,17 +76,6 @@ def test_quaternions_normalized_on_load(tmp_path, cloud):
     save_gaussian_cloud(path, cloud)
     back = load_gaussian_cloud(path)
     assert np.allclose(np.linalg.norm(back.quaternions, axis=1), 1.0, atol=1e-12)
-
-
-def test_audio_points_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    pts = AudioPointSet(positions=rng.uniform(0, 2, (20, 3)),
-                        alpha=rng.standard_normal((20, 52)))
-    path = tmp_path / "a.ply"
-    save_audio_points(path, pts)
-    back = load_audio_points(path)
-    assert np.array_equal(back.positions, pts.positions)
-    assert np.array_equal(back.alpha, pts.alpha)
 
 
 # --- covariance projection ---
@@ -376,24 +368,26 @@ def test_zero_direction_rejected():
 
 
 def test_audio_point_io_memory_is_bounded(tmp_path):
-    # transient peaks against the (N, 3 + K) float64 block the file holds:
-    # save builds the block once; load holds the file bytes, then the
-    # columns, then the returned set
+    # transient peaks of a model save and load against the (N, 3 + K)
+    # float64 point block of its model.bin: save writes from the model's own
+    # arrays; load reads the file's tensors in place, then the model copies them
     n, k = 20000, 52
     rng = np.random.default_rng(12)
     pts = AudioPointSet(positions=rng.uniform(0, 5, (n, 3)), alpha=rng.standard_normal((n, k)))
+    model = SceneModel(points=pts, field=FieldNetwork(alpha_dim=k, seed=0),
+                       masknet=MaskNetwork(mode="binaural", seed=0), source=np.full(3, 1.5),
+                       bounds=(np.zeros(3), np.full(3, 5.0)))
     block = n * (3 + k) * 8
-    path = tmp_path / "points.ply"
     tracemalloc.start()
     try:
-        save_audio_points(path, pts)
+        model.save(tmp_path)
         base, save_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        back = load_audio_points(path)
+        back = SceneModel.load(tmp_path)
         _, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert save_peak < 1.5 * block
     assert load_peak - base < 2.5 * block
     assert np.array_equal(back.positions, pts.positions)
-    assert np.array_equal(back.alpha, pts.alpha)
+    assert np.array_equal(back.alphas.data, pts.alpha)

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tape, Tensor
 from gsaudio.cli import build_model, load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
-from gsaudio.errors import ConfigError, ContractViolation
+from gsaudio.errors import ConfigError, ContractViolation, EvaluationError
 from gsaudio.kdtree import KDTree, nearest_distances
 from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.training import (GradStats, Trainer, _BinauralSample,
@@ -497,7 +498,7 @@ def test_run_training_metrics_log_shape(small_dataset, tmp_path):
                                "points", "mag", "env"}
     for sub in ("final", "best"):
         assert sorted(os.listdir(tmp_path / "run" / sub)) == [
-            "model.bin", "points.ply", "train_state.npz"]
+            "model.bin", "train_state.npz"]
 
 
 def test_point_count_changes_only_on_schedule(small_dataset, tmp_path):
@@ -529,9 +530,26 @@ def test_resume_reproduces_next_eval(small_dataset, tmp_path):
     assert want == got
 
 
+def test_failed_evaluation_writes_a_diagnostic(small_dataset, tmp_path, monkeypatch):
+    trainer = make_trainer(small_dataset, iterations=20, eval_interval=10)
+    evaluate = trainer.evaluate
+
+    def failing(split="val"):
+        if trainer.iteration == 10:
+            raise EvaluationError("non-finite output of dense on inputs of shape (1, 2)")
+        return evaluate(split)
+
+    monkeypatch.setattr(trainer, "evaluate", failing)
+    with pytest.raises(EvaluationError):
+        trainer.run(tmp_path / "run")
+    diagnostic = json.loads((tmp_path / "run" / "diagnostic.json").read_text())
+    assert diagnostic == {"iteration": 10, "points": 128,
+                          "error": "non-finite output of dense on inputs of shape (1, 2)"}
+
+
 def test_train_state_layout_is_pinned(small_dataset, tmp_path):
-    """The keys, dtypes and shapes of train_state.npz stay those of the
-    per-point-tensor layout, so checkpoints written by it still resume."""
+    """The keys, dtypes and shapes of train_state.npz are pinned: those of
+    the per-point-tensor layout, plus the checksum of its model.bin."""
     trainer = make_trainer(small_dataset, seed=6)
     for _ in range(3):
         trainer.train_step()
@@ -545,6 +563,7 @@ def test_train_state_layout_is_pinned(small_dataset, tmp_path):
     nets = trainer.model.network_params()
     want = {
         "iteration": (np.int64, ()),
+        "model_crc32": (np.int64, ()),
         "best_value": (np.float64, ()),
         "grad_sum": (np.float64, (n,)),
         "grad_counts": (np.int64, (n,)),
