@@ -1,10 +1,11 @@
 """Weight file format, used for a checkpoint's model.bin: one JSON header
-line (the caller's fields plus each tensor's name and shape) followed by the
-raw little-endian float64 buffer, tensors in header order. Writes go through
-a temp file and an atomic rename. A model file holds the point positions and
-alphas, then the network tensors; the networks' topology is fixed by their
-module constants, so ``set_weights`` rejects any network tensors that do not
-match the parameters in count and shape."""
+line (the caller's fields plus each tensor's name, shape and dtype, ``<f8``
+or ``<i8``) followed by the raw little-endian buffer, tensors in header
+order. Writes go through a temp file and one atomic rename. A model file
+holds the point positions and alphas, the network tensors, then any train
+state; the networks' topology is fixed by their module constants, so
+``set_weights`` rejects network tensors that do not match the parameters in
+count and shape."""
 
 from __future__ import annotations
 
@@ -16,16 +17,20 @@ import numpy as np
 from .errors import ContractViolation, DataError
 
 MAGIC = "gsaudio-weights"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DTYPES = ("<f8", "<i8")
 
 
 def save_weights(path, header: dict, named_arrays):
-    """``named_arrays`` is a list of (name, array) pairs; order is preserved."""
-    named = [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in named_arrays]
+    """``named_arrays`` is a list of (name, array) pairs; order is preserved.
+    Integer arrays are stored as int64, all others as float64."""
+    named = [(name, np.ascontiguousarray(arr, "<i8" if arr.dtype.kind in "iu" else "<f8"))
+             for name, arr in named_arrays]
     header = dict(header)
     header["magic"] = MAGIC
     header["format"] = FORMAT_VERSION
-    header["tensors"] = [{"name": name, "shape": list(arr.shape)} for name, arr in named]
+    header["tensors"] = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
+                         for name, arr in named]
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -35,8 +40,10 @@ def save_weights(path, header: dict, named_arrays):
     os.replace(tmp, path)
 
 
-def load_weights(path):
-    """Returns (header dict, list of float64 arrays in header order)."""
+def load_weights(path, leading=None):
+    """Returns (header dict, list of arrays in header order). With
+    ``leading``, a function of the header, only the first ``leading(header)``
+    tensors are read and the rest of the file is not."""
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
@@ -45,9 +52,17 @@ def load_weights(path):
             raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
         if header.get("magic") != MAGIC:
             raise DataError(f"{path}: not a weight checkpoint")
+        if header.get("format") != FORMAT_VERSION:
+            raise DataError(f"{path}: format {header.get('format')} weight file; "
+                            f"this version reads format {FORMAT_VERSION} only")
+        specs = header["tensors"]
+        if leading is not None:
+            specs = specs[:leading(header)]
         arrays = []
-        for spec in header["tensors"]:
-            arr = np.empty(spec["shape"], dtype="<f8")
+        for spec in specs:
+            if spec.get("dtype") not in DTYPES:
+                raise DataError(f"{path}: tensor {spec['name']} has dtype {spec.get('dtype')}")
+            arr = np.empty(spec["shape"], dtype=spec["dtype"])
             if fh.readinto(arr) != arr.nbytes:
                 raise DataError(f"{path}: truncated weight buffer")
             arrays.append(arr)

@@ -5,8 +5,8 @@ A saved model is one file, model.bin, and ``SceneModel`` is the only code
 that knows its layout. It is a ``save_weights`` file: its header holds the
 model settings (mode, source, bounds, percentile, window, hop, sample rate,
 seed) and its buffer the (N, 3) positions, the (N, K) alphas, then the
-field's tensors and the mask network's. It is written to a temp name and
-renamed into place, so a failed save leaves the previous model whole.
+field's tensors and the mask network's. A trainer checkpoint appends a train
+state (header key ``train_state``), which ``load`` does not read.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from .scene import AudioPointSet, Pose
 
 MODEL_NAME = "model.bin"
 SCHEMA_VERSION = 3
+TRAIN_STATE_KEY = "train_state"
+
+
+def _model_tensor_count(header):
+    return len(header["tensors"]) - header.get(TRAIN_STATE_KEY, {}).get("tensor_count", 0)
 
 
 class SceneModel:
@@ -145,7 +150,9 @@ class SceneModel:
 
     # --- persistence ---
 
-    def save(self, directory):
+    def save(self, directory, train_state=None):
+        """Write ``directory``/model.bin; ``train_state``, a (header fields,
+        list of (name, array)) pair, goes after the model's tensors."""
         os.makedirs(directory, exist_ok=True)
         header = {
             "schema_version": SCHEMA_VERSION,
@@ -158,14 +165,18 @@ class SceneModel:
             "sample_rate": self.sample_rate,
             "seed": self.seed,
         }
-        save_weights(os.path.join(directory, MODEL_NAME), header,
-                     [("positions", self.positions), ("alphas", self.alphas.data)]
-                     + [(p.name, p.data) for p in self.network_params()])
+        named = ([("positions", self.positions), ("alphas", self.alphas.data)]
+                 + [(p.name, p.data) for p in self.network_params()])
+        if train_state is not None:
+            state_fields, state_tensors = train_state
+            header[TRAIN_STATE_KEY] = dict(state_fields, tensor_count=len(state_tensors))
+            named += state_tensors
+        save_weights(os.path.join(directory, MODEL_NAME), header, named)
 
     @classmethod
     def load(cls, directory) -> "SceneModel":
         path = os.path.join(directory, MODEL_NAME)
-        header, arrays = load_weights(path)
+        header, arrays = load_weights(path, leading=_model_tensor_count)
         if header.get("schema_version") != SCHEMA_VERSION:
             raise DataError(f"{path}: schema {header.get('schema_version')} model file; "
                             f"this version reads schema {SCHEMA_VERSION} only")

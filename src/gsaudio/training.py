@@ -23,6 +23,10 @@ instead of (F, T) grids.
 Each setting has one owner. The ``SceneModel`` owns the mode, the vicinity
 percentile and the STFT window and hop; ``TrainConfig`` holds the
 optimisation schedule, and the Adam moments keep ``Adam``'s defaults.
+
+A trainer checkpoint is one model.bin: the model, then the train state
+(``save_train_state``). A resume restores it, so the continuation repeats
+bit for bit, and refuses a schedule that differs in more than ``iterations``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,14 +43,14 @@ from . import settings
 from .autodiff import Tape, Tensor
 from .dataset import Dataset
 from .dsp import HOP, WINDOW, Waveform, env_distance, mag_distance, stft
-from .errors import ConfigError, ContractViolation, EvaluationError, MetricUndefined
+from .checkpoint import load_weights
+from .errors import ConfigError, ContractViolation, DataError, EvaluationError, MetricUndefined
 from .irmetrics import rir_metrics
 from .kdtree import nearest_distances
-from .model import SceneModel
+from .model import MODEL_NAME, TRAIN_STATE_KEY, SceneModel
 from .optim import Adam, reindex_rows
 from .roomsim import ear_positions
 from .scene import Pose, outlier_indices
-from .training_state import load_train_state, save_train_state
 
 log = logging.getLogger("gsaudio.training")
 
@@ -425,7 +429,6 @@ class Trainer:
                            best_dir=best_dir, final_dir=final_dir)
 
     def _save_checkpoint(self, directory):
-        self.model.save(directory)
         save_train_state(directory, self)
 
     def _dump_diagnostic(self, out_dir, message):
@@ -442,6 +445,49 @@ class Trainer:
         trainer = cls(model, dataset, config)
         load_train_state(checkpoint_dir, trainer)
         return trainer
+
+
+# --- checkpoints ---
+
+
+def save_train_state(directory, trainer):
+    """Write ``directory``/model.bin: ``trainer``'s model, then its train state."""
+    [(alpha_m, alpha_v, alpha_t)] = trainer.opt_alpha.state_arrays()
+    net_states = trainer.opt_nets.state_arrays()
+    state_fields = {"iteration": trainer.iteration, "best_value": trainer.best_value,
+                    "rng_state": trainer.rng.bit_generator.state,
+                    "config": asdict(trainer.config)}
+    tensors = [("grad_sum", trainer.stats.grad_sum), ("grad_counts", trainer.stats.counts),
+               ("alpha_m", alpha_m), ("alpha_v", alpha_v), ("alpha_t", alpha_t),
+               # a network parameter is always stepped whole: its rows share one count
+               ("net_t", np.array([t[0] for _, _, t in net_states], dtype=np.int64))]
+    for i, (m, v, _) in enumerate(net_states):
+        tensors += [(f"net_m_{i}", m), (f"net_v_{i}", v)]
+    trainer.model.save(directory, train_state=(state_fields, tensors))
+
+
+def load_train_state(directory, trainer):
+    """Restore ``trainer`` from the train state in ``directory``/model.bin;
+    its schedule must match the saved one in every field but ``iterations``."""
+    path = os.path.join(directory, MODEL_NAME)
+    header, arrays = load_weights(path)
+    state = header.get(TRAIN_STATE_KEY)
+    if state is None:
+        raise DataError(f"{path}: checkpoint has no train state; cannot resume")
+    for key, value in asdict(trainer.config).items():
+        saved = state["config"].get(key)
+        if key != "iterations" and value != saved:
+            raise ConfigError(f"{key} {value} differs from the checkpoint's {saved}")
+    data = dict(zip((spec["name"] for spec in header["tensors"]), arrays))
+    trainer.iteration = int(state["iteration"])
+    trainer.best_value = float(state["best_value"])
+    trainer.rng.bit_generator.state = state["rng_state"]
+    trainer.stats.grad_sum = data["grad_sum"]
+    trainer.stats.counts = data["grad_counts"]
+    trainer.opt_alpha.load_state_arrays([(data["alpha_m"], data["alpha_v"], data["alpha_t"])])
+    trainer.opt_nets.load_state_arrays([
+        (data[f"net_m_{i}"], data[f"net_v_{i}"], np.full(len(data[f"net_m_{i}"]), t))
+        for i, t in enumerate(data["net_t"])])
 
 
 # --- evaluation helpers ---

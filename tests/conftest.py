@@ -38,6 +38,28 @@ def save_model_around(directory, field, masknet):
     return directory
 
 
+class FailingWrite:
+    """A file that passes its first ``skip`` writes, then writes half of the
+    next buffer and fails like a full disk."""
+
+    def __init__(self, fh, skip=0):
+        self.fh = fh
+        self.skip = skip
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.skip:
+            self.skip -= 1
+            return self.fh.write(data)
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
 def rewrite_model_bin(directory, edit):
     """Rewrite ``directory``'s model.bin with its own header, its two point
     tensors, and the (name, array) pairs that ``edit`` returns for its

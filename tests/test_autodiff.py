@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,8 @@ def test_non_finite_op_output_is_a_numeric_failure_naming_the_op():
     "concat", "mean", "mean_axis", "sum", "row_prod", "scale", "gather_rows",
 ])
 def test_primitive_gradients_exact(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # crc32, not hash(): a str hash changes with every interpreter start
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     other = Tensor(rng.standard_normal((4, 5)))
     weights = Tensor(rng.standard_normal((5, 3)))
 

@@ -94,8 +94,7 @@ def test_train_metrics_line_count(tiny_run):
 
 def test_train_writes_checkpoints(tiny_run):
     for sub in ("final", "best"):
-        assert sorted(p.name for p in (tiny_run / sub).iterdir()) == [
-            "model.bin", "train_state.npz"]
+        assert sorted(p.name for p in (tiny_run / sub).iterdir()) == ["model.bin"]
 
 
 def test_diverging_learning_rate_exits_2_with_diagnostic(tiny_dataset, tmp_path):
@@ -112,22 +111,67 @@ def test_diverging_learning_rate_exits_2_with_diagnostic(tiny_dataset, tmp_path)
     assert f"numeric failure: {error}" in proc.stderr
 
 
-@pytest.mark.parametrize("name", ["model.bin", "train_state.npz"])
-def test_truncated_checkpoint_file_exits_1(tiny_run, tiny_dataset, tmp_path, name):
+def cut_inside(path, part):
+    """Truncate a trainer checkpoint's model.bin halfway through the bytes
+    of its model's tensors (``part`` "model") or of its train state's."""
+    data = path.read_bytes()
+    header_end = data.index(b"\n") + 1
+    header = json.loads(data[:header_end])
+    sizes = [np.dtype(t["dtype"]).itemsize * int(np.prod(t["shape"])) for t in header["tensors"]]
+    model_bytes = sum(sizes[: len(sizes) - header["train_state"]["tensor_count"]])
+    assert header_end + sum(sizes) == len(data)
+    if part == "model":
+        cut = header_end + model_bytes // 2
+    else:
+        cut = header_end + model_bytes + (len(data) - header_end - model_bytes) // 2
+    path.write_bytes(data[:cut])
+
+
+def render_checkpoint(checkpoint, tmp_path):
+    mono_path = tmp_path / "probe.wav"
+    write_wav(mono_path, np.zeros(2048), 22050)
+    return run_cli(["render", "--checkpoint", checkpoint, "--pose", "3.0,2.0,1.5,1.57",
+                    "--mono", mono_path, "--out", tmp_path / "out.wav"])
+
+
+@pytest.mark.parametrize("part", ["model", "train_state"])
+def test_truncated_checkpoint_file_exits_1(tiny_run, tiny_dataset, tmp_path, part):
+    # render reads the model's tensors only; a resume reads the train state too
     checkpoint = tmp_path / "ckpt"
     shutil.copytree(tiny_run / "final", checkpoint)
-    data = (checkpoint / name).read_bytes()
-    (checkpoint / name).write_bytes(data[: len(data) // 2])
-    if name == "train_state.npz":
+    cut_inside(checkpoint / "model.bin", part)
+    proc = render_checkpoint(checkpoint, tmp_path)
+    if part == "train_state":
+        assert proc.returncode == 0, proc.stderr
         proc = run_cli(["train", "--dataset", tiny_dataset, "--out", tmp_path / "run",
-                        "--iterations", 60, "--resume", checkpoint])
-    else:
-        mono_path = tmp_path / "probe.wav"
-        write_wav(mono_path, np.zeros(2048), 22050)
-        proc = run_cli(["render", "--checkpoint", checkpoint, "--pose", "3.0,2.0,1.5,1.57",
-                        "--mono", mono_path, "--out", tmp_path / "out.wav"])
+                        "--iterations", 60, "--eval-interval", 20, "--seed", 5,
+                        "--resume", checkpoint])
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and name in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("error: ") and "model.bin: truncated" in proc.stderr, \
+        proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_format_1_model_file_exits_1(tiny_run, tmp_path):
+    # the layout before per-tensor dtypes: float64 model tensors only (the
+    # train state was a separate train_state.npz)
+    checkpoint = tmp_path / "ckpt"
+    checkpoint.mkdir()
+    data = (tiny_run / "final" / "model.bin").read_bytes()
+    header_end = data.index(b"\n") + 1
+    header = json.loads(data[:header_end])
+    state = header.pop("train_state")
+    del header["tensors"][len(header["tensors"]) - state["tensor_count"]:]
+    for spec in header["tensors"]:
+        del spec["dtype"]
+    body = 8 * sum(int(np.prod(spec["shape"])) for spec in header["tensors"])
+    header["format"] = 1
+    (checkpoint / "model.bin").write_bytes(
+        json.dumps(header, sort_keys=True).encode() + b"\n" + data[header_end:header_end + body])
+    proc = render_checkpoint(checkpoint, tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "format 1 weight file" in proc.stderr, \
+        proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -142,27 +186,6 @@ def test_truncated_point_cloud_exits_1(tiny_dataset, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "cloud.ply: truncated" in proc.stderr, \
         proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_train_state_of_another_save_exits_1(tiny_dataset, tmp_path):
-    # same seed and point count, no densify: only the checksum tells them apart
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"densify_interval": 0, "init_points": 64,
-                                  "eval_interval": 20, "seed": 5}))
-    for name, iterations in (("a", 40), ("b", 20)):
-        proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset,
-                        "--out", tmp_path / name, "--iterations", iterations])
-        assert proc.returncode == 0, proc.stderr
-    mixed = tmp_path / "mixed"
-    mixed.mkdir()
-    shutil.copy(tmp_path / "a" / "final" / "model.bin", mixed)
-    shutil.copy(tmp_path / "b" / "final" / "train_state.npz", mixed)
-    proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset,
-                    "--out", tmp_path / "resumed", "--iterations", 60, "--resume", mixed])
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: "), proc.stderr
-    assert "train_state.npz" in proc.stderr and "model.bin" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -374,6 +397,18 @@ def test_resume_with_another_window_is_config_error(tiny_run, tiny_dataset, tmp_
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "window" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_resume_with_another_schedule_is_config_error(tiny_run, tiny_dataset, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lr_nets": 0.5, "iterations": 60, "eval_interval": 20,
+                                  "seed": 5}))
+    proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset,
+                    "--out", tmp_path / "run", "--resume", tiny_run / "final"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: lr_nets 0.5 differs from the checkpoint's "), \
+        proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -17,6 +17,8 @@ from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.scene import AudioPointSet, Pose, synthetic_cloud, init_audio_points
 from gsaudio.training import Trainer
 
+from conftest import FailingWrite
+
 
 def make_model(mode="binaural", seed=0, n_points=64):
     rng = np.random.default_rng(seed)
@@ -152,23 +154,6 @@ def test_failed_points_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     model.save(tmp_path / "ckpt")
     model.add_points(np.array([[1.0, 1.0, 1.0]]), np.zeros((1, 52)))
     real_open = open
-
-    class FailingWrite:
-        """Writes half of the first buffer, then fails like a full disk."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[: len(data) // 2])
-            raise OSError("no space left on device")
-
     monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FailingWrite(real_open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError):

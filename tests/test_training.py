@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,16 +6,20 @@ import numpy as np
 import pytest
 
 from gsaudio import autodiff as ad
+from gsaudio import checkpoint
 from gsaudio.autodiff import Tape, Tensor
+from gsaudio.checkpoint import load_weights
 from gsaudio.cli import build_model, load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
-from gsaudio.errors import ConfigError, ContractViolation, EvaluationError
+from gsaudio.errors import ConfigError, ContractViolation, DataError, EvaluationError
 from gsaudio.kdtree import KDTree, nearest_distances
 from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.training import (GradStats, Trainer, _BinauralSample,
                               codec_baselines, loss_reconstruction,
                               loss_reconstruction_binned, loss_volume, mixture_magnitude,
                               total_loss)
+
+from conftest import FailingWrite
 
 ROOM = ShoeboxRoom([6.0, 4.0, 3.0], 0.7)
 
@@ -497,8 +502,7 @@ def test_run_training_metrics_log_shape(small_dataset, tmp_path):
         assert set(record) == {"schema_version", "iteration", "split", "loss",
                                "points", "mag", "env"}
     for sub in ("final", "best"):
-        assert sorted(os.listdir(tmp_path / "run" / sub)) == [
-            "model.bin", "train_state.npz"]
+        assert os.listdir(tmp_path / "run" / sub) == ["model.bin"]
 
 
 def test_point_count_changes_only_on_schedule(small_dataset, tmp_path):
@@ -548,8 +552,8 @@ def test_failed_evaluation_writes_a_diagnostic(small_dataset, tmp_path, monkeypa
 
 
 def test_train_state_layout_is_pinned(small_dataset, tmp_path):
-    """The keys, dtypes and shapes of train_state.npz are pinned: those of
-    the per-point-tensor layout, plus the checksum of its model.bin."""
+    """The train state's header fields, and the name, dtype and shape of each
+    of its tensors after the model's in model.bin, are pinned."""
     trainer = make_trainer(small_dataset, seed=6)
     for _ in range(3):
         trainer.train_step()
@@ -561,29 +565,71 @@ def test_train_state_layout_is_pinned(small_dataset, tmp_path):
     trainer._save_checkpoint(str(tmp_path / "ckpt"))
     n, k = trainer.model.alphas.shape
     nets = trainer.model.network_params()
-    want = {
-        "iteration": (np.int64, ()),
-        "model_crc32": (np.int64, ()),
-        "best_value": (np.float64, ()),
-        "grad_sum": (np.float64, (n,)),
-        "grad_counts": (np.int64, (n,)),
-        "alpha_m": (np.float64, (n, k)),
-        "alpha_v": (np.float64, (n, k)),
-        "alpha_t": (np.int64, (n,)),
-        "net_t": (np.int64, (len(nets),)),
-    }
+    want = [
+        ("grad_sum", "<f8", [n]),
+        ("grad_counts", "<i8", [n]),
+        ("alpha_m", "<f8", [n, k]),
+        ("alpha_v", "<f8", [n, k]),
+        ("alpha_t", "<i8", [n]),
+        ("net_t", "<i8", [len(nets)]),
+    ]
     for i, p in enumerate(nets):
-        want[f"net_m_{i}"] = want[f"net_v_{i}"] = (np.float64, p.shape)
-    with np.load(tmp_path / "ckpt" / "train_state.npz") as data:
-        assert set(data.files) == set(want) | {"rng_state"}
-        assert data["rng_state"].dtype.kind == "U" and data["rng_state"].shape == ()
-        for key, (dtype, shape) in want.items():
-            assert data[key].dtype == dtype and data[key].shape == shape, key
-        assert np.all(data["net_t"] == 4)
-        # per-row counts: the densified rows started at zero a step ago
-        assert data["alpha_t"][n - 2:].max() <= 1 < data["alpha_t"].max()
+        want += [(f"net_m_{i}", "<f8", list(p.shape)), (f"net_v_{i}", "<f8", list(p.shape))]
+    header, arrays = load_weights(tmp_path / "ckpt" / "model.bin")
+    state = header["train_state"]
+    assert set(state) == {"iteration", "best_value", "rng_state", "config", "tensor_count"}
+    assert state["iteration"] == 0 and state["best_value"] == np.inf
+    assert state["rng_state"] == trainer.rng.bit_generator.state
+    assert state["config"] == dataclasses.asdict(trainer.config)
+    assert state["tensor_count"] == len(want)
+    specs = header["tensors"]
+    assert len(specs) == 2 + len(nets) + len(want)
+    assert [(t["name"], t["dtype"], t["shape"]) for t in specs[-len(want):]] == want
+    data = dict(zip((t["name"] for t in specs), arrays))
+    assert np.all(data["net_t"] == 4)
+    # per-row counts: the densified rows started at zero a step ago
+    assert data["alpha_t"][n - 2:].max() <= 1 < data["alpha_t"].max()
     resumed = Trainer.resume(str(tmp_path / "ckpt"), small_dataset, trainer.config)
     assert resumed.train_step() == trainer.train_step()
+
+
+def test_model_without_train_state_does_not_resume(small_dataset, tmp_path):
+    trainer = make_trainer(small_dataset)
+    trainer.model.save(tmp_path)
+    with pytest.raises(DataError, match="no train state"):
+        Trainer.resume(str(tmp_path), small_dataset, trainer.config)
+
+
+def fail_mid_buffer(monkeypatch):
+    real_open = open
+    # the header, the points and a few network tensors reach the disk
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: FailingWrite(real_open(*a, **k), skip=6), raising=False)
+
+
+def fail_before_rename(monkeypatch):
+    def failing(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(checkpoint.os, "replace", failing)
+
+
+@pytest.mark.parametrize("inject", [fail_mid_buffer, fail_before_rename])
+def test_failed_checkpoint_save_keeps_the_previous_one(small_dataset, tmp_path, monkeypatch,
+                                                      inject):
+    full = make_trainer(small_dataset, seed=6, iterations=40, eval_interval=20)
+    want = full.run(tmp_path / "full").eval_records[-1]
+    part = make_trainer(small_dataset, seed=6, iterations=20, eval_interval=20)
+    final = part.run(tmp_path / "part").final_dir
+    for _ in range(5):
+        part.train_step()
+    inject(monkeypatch)
+    with pytest.raises(OSError):
+        part._save_checkpoint(final)
+    monkeypatch.undo()
+    resumed = Trainer.resume(final, small_dataset,
+                             dataclasses.replace(part.config, iterations=40))
+    assert resumed.iteration == 20
+    assert resumed.run(tmp_path / "part").eval_records[-1] == want
 
 
 # --- codec baselines ---
