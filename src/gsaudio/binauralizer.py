@@ -143,6 +143,7 @@ class MaskNetwork:
         # be symmetric until data says otherwise, and most of the
         # impulse-response target is exactly zero
         self.m4 = _linear_init(rng, w, 1, "mlp2.l4", gain=1e-3)
+        self._enc_f = None  # the last frequency_encoding, a constant of n_bins
 
     def params(self):
         layers = [self.l1, self.l2, self.l3, self.l4]
@@ -178,14 +179,25 @@ class MaskNetwork:
         """
         if self.mode != "binaural":
             raise ConfigError("mask query requires binaural mode")
-        f_norm = np.arange(n_bins) / max(n_bins - 1, 1)
         enc_xy = Tensor(positional_encoding(xy01)[None, :])
-        enc_f = Tensor(positional_encoding(f_norm[:, None]))
-        feats = self.features(tape, [enc_xy, enc_f, context])
+        feats = self.features(tape, [enc_xy, self.frequency_encoding(n_bins), context])
         mixture = ad.scale(tape, ad.sigmoid(tape, ad.dense(tape, feats, *self.mix_proj)), 2.0)
         enc_dir = Tensor(_encode_direction(theta)[None, :])
         difference = self._head(tape, [feats, enc_dir])
         return mixture, difference
+
+    def frequency_encoding(self, n_bins):
+        """The (n_bins, 2 * ENCODING_LEVELS) encoding of the normalized bin
+        frequencies, an untracked tensor with read-only data. It depends on
+        ``n_bins`` alone, so it is computed once and kept until another
+        ``n_bins`` is asked for."""
+        enc_f = self._enc_f
+        if enc_f is None or enc_f.shape[0] != n_bins:
+            f_norm = np.arange(n_bins) / max(n_bins - 1, 1)
+            enc_f = Tensor(positional_encoding(f_norm[:, None]))
+            enc_f.data.flags.writeable = False
+            self._enc_f = enc_f
+        return enc_f
 
     def rir_tensor(self, tape, xy01, theta, context, times01):
         """In-graph impulse-response amplitudes for normalized times

@@ -9,6 +9,7 @@ count and shape."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -23,7 +24,8 @@ DTYPES = ("<f8", "<i8")
 
 def save_weights(path, header: dict, named_arrays):
     """``named_arrays`` is a list of (name, array) pairs; order is preserved.
-    Integer arrays are stored as int64, all others as float64."""
+    Integer arrays are stored as int64, all others as float64. If the write
+    or the rename fails, the temp file is removed and the error re-raised."""
     named = [(name, np.ascontiguousarray(arr, "<i8" if arr.dtype.kind in "iu" else "<f8"))
              for name, arr in named_arrays]
     header = dict(header)
@@ -32,12 +34,18 @@ def save_weights(path, header: dict, named_arrays):
     header["tensors"] = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str}
                          for name, arr in named]
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for _, arr in named:
-            fh.write(arr.data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            for _, arr in named:
+                fh.write(arr.data)
+        os.replace(tmp, path)
+    except BaseException:
+        # the previous file at ``path`` is intact; leave no partial temp file beside it
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_weights(path, leading=None):

@@ -13,6 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation
+from .kdtree import squared_distances
 from .scene import Pose, vicinity
 
 log = logging.getLogger("gsaudio.field")
@@ -23,17 +24,20 @@ COINCIDENT_EPS = 1e-9
 
 
 def guidance_rows(positions, anchor):
-    """Row-wise position guidance; coincident rows become zero vectors."""
+    """Unit vectors from ``anchor`` to each row of ``positions`` (N, 3);
+    coincident rows (norm below ``COINCIDENT_EPS``) become zero vectors.
+    The norms are the square roots of ``kdtree.squared_distances``, the bits
+    of ``np.linalg.norm(positions - anchor, axis=1)``."""
     anchor = np.asarray(anchor, dtype=np.float64).reshape(3)
     diff = positions - anchor
-    norms = np.linalg.norm(diff, axis=1, keepdims=True)
-    degenerate = norms[:, 0] < COINCIDENT_EPS
+    norms = np.sqrt(squared_distances(positions.T, anchor[:, None])[0])
+    degenerate = norms < COINCIDENT_EPS
     if np.any(degenerate):
         log.debug("zero guidance substituted for %d coincident points", int(degenerate.sum()))
-    safe = np.where(degenerate[:, None], 1.0, norms)
-    rows = diff / safe
-    rows[degenerate] = 0.0
-    return rows
+        norms[degenerate] = 1.0
+    diff /= norms[:, None]
+    diff[degenerate] = 0.0
+    return diff
 
 
 class FieldNetwork:

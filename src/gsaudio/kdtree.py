@@ -1,19 +1,26 @@
 """Exact neighbour queries over point clouds: k-nearest selection, radius
 counts and nearest-neighbour distances.
 
-k-NN is one numpy selection: squared distances, ``np.partition`` for the
-k-th smallest, then every strictly closer point plus the lowest-indexed
-points at exactly that distance. It returns the same indices as the lexsort
-reference ``brute_force_knn`` bit for bit, because both compute the same
-squared distances and order candidates by (distance^2, index).
+Every distance comes from one kernel, ``squared_distances``. It takes the
+coordinates as three rows (contiguous, or strided views such as
+``points.T``) and sums one coordinate at a time, (dx^2 + dy^2) + dz^2, each
+term one vectorized pass. For three terms that is the order of
+``.sum(axis=1)`` and ``np.linalg.norm(axis=1)`` over an (N, 3) array (left
+to right, from the first term), so every squared distance has the bits of
+the row-wise ``((points - center) ** 2).sum(axis=1)`` that the
+``brute_force_*`` references keep, without the reduction's one inner-loop
+call per 3-wide row. ``field.guidance_rows`` takes its norms from it too.
+
+k-NN is one selection over those distances: ``np.partition`` for the k-th
+smallest, then every point at or below it, less the highest-indexed points
+at exactly that distance when there are more than k. It returns the same
+indices as the lexsort reference ``brute_force_knn`` bit for bit, because
+both order candidates by (distance^2, index) over the same bits.
 
 Radius counts (outlier pruning) and nearest distances (densify) compare
-blocks of points against each other with ``_squared_distances``, which sums
-one coordinate at a time from zero, ((0 + dx^2) + dy^2) + dz^2: the order of
-the per-point ``((points - center) ** 2).sum(axis=1)`` in the references, so
-every distance has the bits of a per-point loop. ``count_within`` sorts the
-points by x and compares each block of sorted rows only with the contiguous
-window of points whose x lies within the radius (sweep and prune).
+blocks of points against each other. ``count_within`` sorts the points by x
+and compares each block of sorted rows only with the contiguous window of
+points whose x lies within the radius (sweep and prune).
 
 ``KDTree`` builds no tree; it holds a point set for ``query_knn``.
 """
@@ -27,6 +34,20 @@ from .errors import ContractViolation
 _BLOCK = 2 ** 15  # squared distances per block, except one row with a wider window
 
 
+def squared_distances(points, centers):
+    """(R, C) squared distances from the R points ``centers`` (3, R) to the C
+    points ``points`` (3, C), summed one coordinate at a time:
+    (dx^2 + dy^2) + dz^2. The coordinate rows may be strided views, such as
+    ``positions.T``."""
+    terms = (coord - center[:, None] for coord, center in zip(points, centers))
+    d2 = next(terms)
+    d2 *= d2
+    for diff in terms:
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def brute_force_knn(points, center, k):
     """Indices of the k nearest points, ties broken by lower index."""
     d2 = ((points - center) ** 2).sum(axis=1)
@@ -37,28 +58,20 @@ def brute_force_knn(points, center, k):
 def knn(points, center, k):
     """Indices (ascending) of the k nearest points, ties broken by lower
     index: the set ``brute_force_knn`` returns, in O(N) instead of a sort."""
-    d2 = ((points - center) ** 2).sum(axis=1)
+    d2 = squared_distances(points.T, np.reshape(center, (-1, 1)))[0]
     kth = np.partition(d2, k - 1)[k - 1]
-    closer = np.flatnonzero(d2 < kth)
-    ties = np.flatnonzero(d2 == kth)[:k - closer.size]
-    return np.sort(np.concatenate([closer, ties]))
+    selected = np.flatnonzero(d2 <= kth)
+    surplus = selected.size - k
+    if surplus:
+        ties = np.flatnonzero(d2[selected] == kth)
+        selected = np.delete(selected, ties[ties.size - surplus:])
+    return selected
 
 
 def brute_force_count_within(points, center, radius):
     """Number of points strictly inside ``radius`` of ``center``."""
     d2 = ((points - center) ** 2).sum(axis=1)
     return int(np.count_nonzero(d2 < radius * radius))
-
-
-def _squared_distances(cols, rows):
-    """(R, C) squared distances from the R points ``rows`` (3, R) to the C
-    points ``cols`` (3, C), summed one coordinate at a time from zero."""
-    d2 = np.zeros((rows.shape[1], cols.shape[1]))
-    for col, row in zip(cols, rows):
-        diff = col - row[:, None]
-        diff *= diff
-        d2 += diff
-    return d2
 
 
 def count_within(points, radius):
@@ -87,7 +100,7 @@ def count_within(points, radius):
         widths = stop[lo:lo + max(1, _BLOCK // (stop[lo] - first[lo]))] - first[lo]
         rows = np.arange(1, widths.size + 1)
         hi = lo + max(1, np.count_nonzero(rows * widths <= _BLOCK))
-        d2 = _squared_distances(coords[:, first[lo]:stop[hi - 1]], coords[:, lo:hi])
+        d2 = squared_distances(coords[:, first[lo]:stop[hi - 1]], coords[:, lo:hi])
         counts[order[lo:hi]] = np.count_nonzero(d2 < r2, axis=1)
         lo = hi
     return counts
@@ -106,7 +119,7 @@ def nearest_distances(positions, indices):
     block = max(1, _BLOCK // n)
     coords = positions.T.copy()  # (3, N): each coordinate contiguous
     for lo in range(0, indices.size, block):
-        d2 = _squared_distances(coords, coords[:, indices[lo:lo + block]])
+        d2 = squared_distances(coords, coords[:, indices[lo:lo + block]])
         out[lo:lo + block] = np.sqrt(np.partition(d2, 1, axis=1)[:, 1])
     return out
 

@@ -175,15 +175,23 @@ class SceneModel:
 
     @classmethod
     def load(cls, directory) -> "SceneModel":
+        """The model in ``directory``/model.bin; a train state after it is not read."""
         path = os.path.join(directory, MODEL_NAME)
         header, arrays = load_weights(path, leading=_model_tensor_count)
+        return cls.from_weights(path, header, arrays)
+
+    @classmethod
+    def from_weights(cls, path, header, arrays) -> "SceneModel":
+        """The model held by ``load_weights(path)``'s ``header`` and
+        ``arrays``; arrays past the model's tensors (a train state) are left
+        to the caller."""
         if header.get("schema_version") != SCHEMA_VERSION:
             raise DataError(f"{path}: schema {header.get('schema_version')} model file; "
                             f"this version reads schema {SCHEMA_VERSION} only")
         points = AudioPointSet(positions=arrays[0], alpha=arrays[1])
         field = FieldNetwork(alpha_dim=points.alpha_dim, seed=header["seed"])
         masknet = MaskNetwork(mode=header["mode"], seed=header["seed"])
-        set_weights(field.params() + masknet.params(), arrays[2:])
+        set_weights(field.params() + masknet.params(), arrays[2:_model_tensor_count(header)])
         return cls(points=points, field=field, masknet=masknet, source=header["source"],
                    bounds=header["bounds"], percentile=header["percentile"],
                    window=header["window"], hop=header["hop"],

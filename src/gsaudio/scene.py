@@ -182,8 +182,11 @@ def vicinity(positions, center, percentile):
     """Indices (ascending) of the nearest ceil(percentile% * N) of the (N, 3)
     ``positions``.
 
-    An exact selection (``kdtree.knn``): ties break toward the lower index,
-    so the result equals ``kdtree.brute_force_knn``.
+    An exact selection (``kdtree.knn``) over the squared distances of
+    ``kdtree.squared_distances``, which sums the coordinates of the strided
+    columns of ``positions`` in the order of ``.sum(axis=1)``: ties break
+    toward the lower index, and the result equals ``kdtree.brute_force_knn``
+    bit for bit. No copy of ``positions`` is made.
     """
     if not 0.0 < percentile <= 100.0:
         raise ConfigError(f"percentile must be in (0, 100], got {percentile}")

@@ -441,9 +441,12 @@ class Trainer:
 
     @classmethod
     def resume(cls, checkpoint_dir, dataset: Dataset, config: TrainConfig) -> "Trainer":
-        model = SceneModel.load(checkpoint_dir)
-        trainer = cls(model, dataset, config)
-        load_train_state(checkpoint_dir, trainer)
+        """A trainer that continues from ``checkpoint_dir``/model.bin, read
+        once: the model from its leading tensors, the train state from the rest."""
+        path = os.path.join(checkpoint_dir, MODEL_NAME)
+        header, arrays = load_weights(path)
+        trainer = cls(SceneModel.from_weights(path, header, arrays), dataset, config)
+        load_train_state(path, header, arrays, trainer)
         return trainer
 
 
@@ -466,11 +469,10 @@ def save_train_state(directory, trainer):
     trainer.model.save(directory, train_state=(state_fields, tensors))
 
 
-def load_train_state(directory, trainer):
-    """Restore ``trainer`` from the train state in ``directory``/model.bin;
-    its schedule must match the saved one in every field but ``iterations``."""
-    path = os.path.join(directory, MODEL_NAME)
-    header, arrays = load_weights(path)
+def load_train_state(path, header, arrays, trainer):
+    """Restore ``trainer`` from the train state in ``load_weights(path)``'s
+    ``header`` and ``arrays``; its schedule must match the saved one in every
+    field but ``iterations``."""
     state = header.get(TRAIN_STATE_KEY)
     if state is None:
         raise DataError(f"{path}: checkpoint has no train state; cannot resume")

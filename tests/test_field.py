@@ -5,7 +5,7 @@ from gsaudio import autodiff as ad
 from gsaudio.autodiff import Tensor, finite_difference_check
 from gsaudio.binauralizer import MaskNetwork
 from gsaudio.errors import ContractViolation
-from gsaudio.field import FieldNetwork, guidance_rows, pooled_context
+from gsaudio.field import COINCIDENT_EPS, FieldNetwork, guidance_rows, pooled_context
 from gsaudio.model import SceneModel
 from gsaudio.scene import Pose
 
@@ -53,6 +53,30 @@ def test_guidance_rows_substitute_zero_for_coincident():
     rows = guidance_rows(positions, np.zeros(3))
     assert np.array_equal(rows[0], [0.0, 0.0, 0.0])
     assert np.allclose(rows[1], [1.0, 0.0, 0.0])
+
+
+def norm_guidance_rows(positions, anchor):
+    """The row-norm form of ``guidance_rows``: ``np.linalg.norm`` over axis 1."""
+    diff = positions - anchor
+    norms = np.linalg.norm(diff, axis=1, keepdims=True)
+    degenerate = norms[:, 0] < COINCIDENT_EPS
+    rows = diff / np.where(degenerate[:, None], 1.0, norms)
+    rows[degenerate] = 0.0
+    return rows
+
+
+def test_guidance_rows_match_the_norm_form_at_32768():
+    rng = np.random.default_rng(31)
+    positions = np.round(rng.uniform(0.0, 3.0, (32768, 3)), 1)
+    anchor = positions[17].copy()
+    positions[100] = anchor + 1e-10  # closer than COINCIDENT_EPS, not equal
+    got = guidance_rows(positions, anchor)
+    coincident = np.flatnonzero(~got.any(axis=1))
+    assert coincident.size > 2 and 17 in coincident and 100 in coincident
+    assert got.tobytes() == norm_guidance_rows(positions, anchor).tobytes()
+    vicinity_rows = positions[:4916]
+    assert (guidance_rows(vicinity_rows, anchor).tobytes()
+            == norm_guidance_rows(vicinity_rows, anchor).tobytes())
 
 
 def test_zero_weight_network_gives_zero_context():

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from gsaudio.errors import ContractViolation
-from gsaudio.kdtree import KDTree, brute_force_count_within, brute_force_knn, count_within
+from gsaudio.kdtree import (KDTree, brute_force_count_within, brute_force_knn, count_within, knn,
+                            nearest_distances, squared_distances)
+from gsaudio.scene import vicinity
+
+N_LARGE = 32768  # the render-32768 model's point count
 
 
 def brute_counts(points, radius):
@@ -51,6 +55,53 @@ def test_knn_query_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def tied_cloud():
+    """32768 points with coordinates rounded to 0.1 in a 3 m cube, and a
+    centre on the same grid: many points share a squared distance, and some
+    points coincide."""
+    rng = np.random.default_rng(22)
+    return np.round(rng.uniform(0.0, 3.0, (N_LARGE, 3)), 1), np.array([1.5, 1.2, 0.7])
+
+
+def test_squared_distances_have_the_bits_of_the_row_sum(tied_cloud):
+    points, center = tied_cloud
+    got = squared_distances(points.T, center[:, None])
+    assert got.shape == (1, N_LARGE)
+    assert got[0].tobytes() == ((points - center) ** 2).sum(axis=1).tobytes()
+    rows = points[:64]
+    block = squared_distances(points.T.copy(), rows.T.copy())
+    want = np.stack([((points - row) ** 2).sum(axis=1) for row in rows])
+    assert block.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 10, 4916, N_LARGE])
+def test_knn_and_vicinity_match_brute_force_on_ties_at_32768(tied_cloud, k):
+    points, center = tied_cloud
+    want = brute_force_knn(points, center, k)
+    d2 = ((points - center) ** 2).sum(axis=1)
+    kth = np.sort(d2)[k - 1]
+    if k < N_LARGE:
+        # the k-th distance is shared, so the selection must drop surplus ties
+        assert np.count_nonzero(d2 <= kth) > k
+    assert np.array_equal(knn(points, center, k), want)
+    # the midpoint percentile of k, so ceil(percentile% * n) == k
+    assert np.array_equal(vicinity(points, center, 100.0 * (k - 0.5) / N_LARGE), want)
+
+
+def test_count_within_and_nearest_distances_match_references_at_32768(tied_cloud):
+    points, _ = tied_cloud
+    rows = np.random.default_rng(23).choice(N_LARGE, size=200, replace=False)
+    for radius in (0.1, 0.35):
+        counts = count_within(points, radius)
+        assert np.array_equal(counts[rows],
+                              [brute_force_count_within(points, points[i], radius) for i in rows])
+    want = [np.sqrt(np.partition(((points - points[i]) ** 2).sum(axis=1), 1)[1]) for i in rows]
+    got = nearest_distances(points, rows)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert np.any(got == 0.0)  # coincident points read 0.0
 
 
 @pytest.mark.parametrize("trial", range(10))

@@ -593,6 +593,23 @@ def test_train_state_layout_is_pinned(small_dataset, tmp_path):
     assert resumed.train_step() == trainer.train_step()
 
 
+def test_resume_reads_the_checkpoint_once(small_dataset, tmp_path, monkeypatch):
+    trainer = make_trainer(small_dataset)
+    trainer.train_step()
+    trainer._save_checkpoint(str(tmp_path))
+    reads = []
+
+    def counting_load_weights(*args, **kwargs):
+        reads.append(args)
+        return load_weights(*args, **kwargs)
+
+    for module in ("gsaudio.training", "gsaudio.model"):
+        monkeypatch.setattr(f"{module}.load_weights", counting_load_weights)
+    resumed = Trainer.resume(str(tmp_path), small_dataset, trainer.config)
+    assert len(reads) == 1
+    assert resumed.train_step() == trainer.train_step()
+
+
 def test_model_without_train_state_does_not_resume(small_dataset, tmp_path):
     trainer = make_trainer(small_dataset)
     trainer.model.save(tmp_path)
@@ -626,6 +643,7 @@ def test_failed_checkpoint_save_keeps_the_previous_one(small_dataset, tmp_path, 
     with pytest.raises(OSError):
         part._save_checkpoint(final)
     monkeypatch.undo()
+    assert os.listdir(final) == ["model.bin"]  # no model.bin.tmp left beside it
     resumed = Trainer.resume(final, small_dataset,
                              dataclasses.replace(part.config, iterations=40))
     assert resumed.iteration == 20
