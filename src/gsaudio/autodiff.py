@@ -342,8 +342,10 @@ def row_prod(tape, a):
     if a.data.ndim != 2:
         raise ContractViolation(f"row_prod expects a 2-D tensor, got shape {a.shape}")
     x = a.data
-    left = np.ones_like(x)
-    right = np.ones_like(x)
+    left = np.empty_like(x)
+    right = np.empty_like(x)
+    left[:, :1] = 1.0
+    right[:, -1:] = 1.0
     np.cumprod(x[:, :-1], axis=1, out=left[:, 1:])
     np.cumprod(x[:, :0:-1], axis=1, out=right[:, -2::-1])
     cof = left * right

@@ -87,3 +87,17 @@ def set_weights(params, arrays):
         if p.data.shape != arr.shape:
             raise ContractViolation(f"checkpoint shape mismatch for {p.name}")
         p.data = arr
+
+
+class _SkipInit:
+    """Stands in for the ``np.random.Generator`` of a network constructor
+    whose parameters ``set_weights`` replaces: each draw is zeros of the
+    asked shape, so the network gets its parameters' shapes and names and no
+    random number is drawn (``torch.nn.utils.skip_init`` does the same)."""
+
+    @staticmethod
+    def standard_normal(shape):
+        return np.zeros(shape)
+
+
+SKIP_INIT = _SkipInit()

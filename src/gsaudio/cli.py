@@ -247,8 +247,10 @@ def cmd_ablate(cfg):
                             alpha_selection=setting.get("selection"),
                             percentile=setting.get("percentile"))
         trainer = Trainer(model, dataset, train_config_from(cfg, iterations=iterations))
-        trainer.run(run_dir)
-        metrics = evaluate_binaural(model, dataset, "val", model.window, model.hop)
+        records = trainer.run(run_dir).eval_records
+        # the run's last record scored the final model when the last iteration evaluated
+        metrics = (records[-1] if records and records[-1]["iteration"] == trainer.iteration
+                   else evaluate_binaural(model, dataset, "val", model.window, model.hop))
         row = {"label": setting["label"], "mag": metrics["mag"], "env": metrics["env"]}
         if "dim" in setting:
             row["dim"] = setting["dim"]

@@ -1,6 +1,13 @@
-"""Acoustic field network: maps each vicinity point's (alpha, direction to
-anchor) pair to a per-point context vector, then pools source- and
+"""Acoustic field network: pools a vicinity's (alpha, direction to anchor)
+rows into one context vector per anchor, then joins the source- and
 listener-anchored contexts into one conditioning vector.
+
+The anchor context is the mean per-point context, mean_i(h_i W2 + b2) with
+h_i = relu(x_i W1 + b1). The second layer is affine, so it commutes with the
+mean: mean_i(h_i W2 + b2) = (mean_i h_i) W2 + b2. ``FieldNetwork.forward``
+takes the mean of the hidden rows first and applies W2 to that one row (the
+DeepSets form rho(mean phi(x)), Zaheer et al. 2017, with an affine rho). The
+two forms agree up to rounding.
 """
 
 from __future__ import annotations
@@ -41,8 +48,9 @@ def guidance_rows(positions, anchor):
 
 
 class FieldNetwork:
-    """55 -> 64 -> 64 MLP (relu after the hidden layer). Both widths are
-    ``CONTEXT_WIDTH``; only the alpha width varies with the alpha init."""
+    """55 -> 64 -> mean over rows -> 64 MLP (relu after the hidden layer).
+    Both widths are ``CONTEXT_WIDTH``; only the alpha width varies with the
+    alpha init."""
 
     def __init__(self, alpha_dim=52, rng=None, seed=None):
         self.alpha_dim = int(alpha_dim)
@@ -61,13 +69,17 @@ class FieldNetwork:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, tape, x):
-        """Per-point contexts for ``x`` of shape (N, alpha_dim + 3)."""
+        """The pooled (1, CONTEXT_WIDTH) context of the rows of ``x``, shape
+        (N, alpha_dim + 3): the hidden layer over every row, its mean over
+        the rows, then the second layer on that one row. Equal, up to
+        rounding, to the mean of the per-row contexts, because the second
+        layer is affine."""
         if x.data.shape[1] != self.alpha_dim + GUIDANCE_DIM:
             raise ContractViolation(
                 f"field input width {x.data.shape[1]}, expected {self.alpha_dim + GUIDANCE_DIM}"
             )
         h = ad.dense(tape, x, self.w1, self.b1, relu=True)
-        return ad.dense(tape, h, self.w2, self.b2)
+        return ad.dense(tape, ad.mean(tape, h, axis=0, keepdims=True), self.w2, self.b2)
 
 
 @dataclass
@@ -91,15 +103,16 @@ class SceneContext:
 
 def anchor_context(tape, net: FieldNetwork, positions, alphas, anchor, percentile):
     """Mean per-point context over the vicinity of ``anchor``: returns the
-    (1, CONTEXT_WIDTH) tensor and the vicinity indices."""
+    (1, CONTEXT_WIDTH) tensor and the vicinity indices. ``net.forward``
+    pools the hidden rows before the affine second layer, which gives the
+    mean context up to rounding."""
     indices = vicinity(positions, anchor, percentile)
     if indices.size == 0:
         raise ContractViolation("empty vicinity")
     alpha_block = ad.gather_rows(tape, alphas, indices)
     guidance = Tensor(guidance_rows(positions[indices], anchor))
     x = ad.concat(tape, [alpha_block, guidance])
-    ctx = net.forward(tape, x)
-    return ad.mean(tape, ctx, axis=0, keepdims=True), indices
+    return net.forward(tape, x), indices
 
 
 def pooled_context(tape, net: FieldNetwork, positions, alphas, listener: Pose, source_position,

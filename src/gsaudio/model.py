@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .binauralizer import (AcousticMasks, MaskNetwork, binauralize, normalize_position)
-from .checkpoint import load_weights, save_weights, set_weights
+from .checkpoint import SKIP_INIT, load_weights, save_weights, set_weights
 from .dsp import HOP, SAMPLE_RATE, WINDOW, Waveform
 from .errors import ConfigError, DataError
 from .field import FieldNetwork, SceneContext, anchor_context, pooled_context
@@ -189,8 +189,8 @@ class SceneModel:
             raise DataError(f"{path}: schema {header.get('schema_version')} model file; "
                             f"this version reads schema {SCHEMA_VERSION} only")
         points = AudioPointSet(positions=arrays[0], alpha=arrays[1])
-        field = FieldNetwork(alpha_dim=points.alpha_dim, seed=header["seed"])
-        masknet = MaskNetwork(mode=header["mode"], seed=header["seed"])
+        field = FieldNetwork(alpha_dim=points.alpha_dim, rng=SKIP_INIT)
+        masknet = MaskNetwork(mode=header["mode"], rng=SKIP_INIT)
         set_weights(field.params() + masknet.params(), arrays[2:_model_tensor_count(header)])
         return cls(points=points, field=field, masknet=masknet, source=header["source"],
                    bounds=header["bounds"], percentile=header["percentile"],

@@ -102,6 +102,24 @@ def test_primitive_gradients_exact(name):
     assert err < 1e-6, f"{name}: {err}"
 
 
+def test_row_prod_cofactors_have_the_bits_of_the_ones_like_form():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((64, 52))
+    x[3, 0] = x[9, 51] = x[17, 20] = 0.0  # one zero: first, last and a middle column
+    x[30, 5] = x[30, 40] = 0.0  # two zeros: every cofactor of the row is 0
+    x[41] = 0.0
+    x[50, 7] = -0.0
+    left, right = np.ones_like(x), np.ones_like(x)
+    np.cumprod(x[:, :-1], axis=1, out=left[:, 1:])
+    np.cumprod(x[:, :0:-1], axis=1, out=right[:, -2::-1])
+    upstream = rng.standard_normal((64, 1))
+    want = upstream * (left * right)
+    a = Tensor(x, param=True)
+    tape = Tape()
+    got = tape.backward(ad.total(tape, ad.mul(tape, ad.row_prod(tape, a), Tensor(upstream))))[a]
+    assert got.tobytes() == want.tobytes()
+
+
 def gather_rows_gradient(indices, upstream, n_rows):
     """Gradient that ``gather_rows`` sends back to an (n_rows, K) input when
     the gradient arriving at its output is ``upstream``."""

@@ -346,6 +346,39 @@ def test_ablate_vicinity_rows(tiny_dataset, tmp_path):
     assert len(csv_lines) == 6
 
 
+@pytest.mark.parametrize("eval_interval,per_row", [(5, 3), (4, 4)])
+def test_ablate_evaluates_each_final_model_once(tiny_dataset, tmp_path, monkeypatch,
+                                                 eval_interval, per_row):
+    # 10 iterations: evaluations at 0, 5 and 10 end on the final model; at
+    # 0, 4 and 8 they do not, and ablate scores the final model itself
+    from gsaudio import cli, training
+
+    calls = []
+    evaluate = training.evaluate_binaural
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate_binaural", counting)
+    monkeypatch.setattr(cli, "evaluate_binaural", counting)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"eval_interval": eval_interval}))
+    out = tmp_path / "ablate"
+    code = cli.main(["ablate", "--config", str(config), "--dataset", str(tiny_dataset),
+                     "--axis", "vicinity", "--iterations", "10", "--out", str(out),
+                     "--seed", "5"])
+    assert code == 0
+    assert calls == ["val"] * (5 * per_row)
+    rows = json.loads((out / "ablation.json").read_text())["rows"]
+    for row in rows:
+        run_dir = out / f"vicinity_{row['label']}"
+        last = json.loads((run_dir / "metrics.jsonl").read_text().splitlines()[-1])
+        assert (last["iteration"] == 10) == (per_row == 3)
+        if last["iteration"] == 10:
+            assert (row["mag"], row["env"]) == (last["mag"], last["env"])
+
+
 def test_missing_required_flag_is_usage_error(tiny_dataset):
     proc = run_cli(["train", "--dataset", tiny_dataset])
     assert proc.returncode == 1

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from gsaudio import autodiff as ad
-from gsaudio.autodiff import Tensor, finite_difference_check
+from gsaudio.autodiff import Tape, Tensor, finite_difference_check
 from gsaudio.binauralizer import MaskNetwork
 from gsaudio.errors import ContractViolation
-from gsaudio.field import COINCIDENT_EPS, FieldNetwork, guidance_rows, pooled_context
+from gsaudio.field import (COINCIDENT_EPS, FieldNetwork, anchor_context, guidance_rows,
+                           pooled_context)
 from gsaudio.model import SceneModel
 from gsaudio.scene import Pose
 
@@ -106,6 +107,63 @@ def test_forward_matches_naive():
     h = np.maximum(x @ net.w1.data + net.b1.data, 0.0)
     want = h @ net.w2.data + net.b2.data
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def per_row_mean_context(net, x):
+    """The mean of the per-row contexts: the second layer on every row, then
+    the mean over the rows."""
+    h = np.maximum(x @ net.w1.data + net.b1.data, 0.0)
+    return (h @ net.w2.data + net.b2.data).mean(axis=0)
+
+
+def test_forward_applies_the_second_layer_to_one_pooled_row():
+    net = FieldNetwork(alpha_dim=52, seed=12)
+    x = Tensor(np.random.default_rng(12).standard_normal((40, 55)))
+    tape = Tape()
+    out = net.forward(tape, x)
+    assert [e.op for e in tape.entries] == ["dense", "mean", "dense"]
+    first, _, second = tape.entries
+    assert first.inputs[0].shape == (40, 55)
+    assert second.inputs[0].shape == (1, 64)
+    assert out.shape == (1, 64)
+
+
+@pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+def test_pooled_forward_gradients_match_finite_differences(name):
+    net = FieldNetwork(alpha_dim=5, seed=13)
+    rng = np.random.default_rng(13)
+    for b in (net.b1, net.b2):  # nonzero biases, so their gradients are exercised
+        b.data = rng.standard_normal(b.shape) * 0.3
+    x = Tensor(rng.standard_normal((6, 8)))
+    weights = Tensor(rng.standard_normal((1, 64)))
+    original = getattr(net, name)
+
+    def f(tape, p):
+        setattr(net, name, p)
+        try:
+            out = net.forward(tape, x)
+        finally:
+            setattr(net, name, original)
+        return ad.total(tape, ad.mul(tape, out, weights))
+
+    # piecewise linear in each parameter: a wide step adds no truncation
+    # error while it crosses no relu kink, and it shrinks the round-off
+    err = finite_difference_check(f, original.data, step=1e-4)
+    assert err < 1e-6, f"{name}: {err}"
+
+
+def test_forward_matches_the_per_row_mean_on_a_4916_row_vicinity():
+    rng = np.random.default_rng(14)
+    positions = rng.uniform(0.0, 6.0, (32768, 3))
+    alphas = rng.standard_normal((32768, 52)) * 0.4
+    net = FieldNetwork(alpha_dim=52, seed=14)
+    anchor = np.array([2.5, 1.7, 1.2])
+    got, indices = anchor_context(None, net, positions, alpha_rows(alphas), anchor, 15.0)
+    assert indices.size == 4916
+    x = np.concatenate([alphas[indices], guidance_rows(positions[indices], anchor)], axis=1)
+    want = per_row_mean_context(net, x)
+    assert got.shape == (1, 64)
+    assert np.max(np.abs(got.data[0] - want)) <= 1e-12
 
 
 def make_scene(n=50, alpha_dim=52, seed=5):

@@ -67,6 +67,20 @@ def test_model_file_leads_with_the_points(tmp_path):
     assert "point_count" not in header
 
 
+@pytest.mark.parametrize("mode", ["binaural", "rir"])
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch, mode):
+    model = make_model(mode=mode, seed=3, n_points=20)
+    model.save(tmp_path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("SceneModel.load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    back = SceneModel.load(tmp_path)
+    for p, q in zip(model.network_params(), back.network_params(), strict=True):
+        assert p.name == q.name and p.data.tobytes() == q.data.tobytes()
+
+
 def test_schema_2_model_file_is_refused(tmp_path):
     # the layout before the points moved into model.bin: networks only
     make_model(seed=7, n_points=20).save(tmp_path)
