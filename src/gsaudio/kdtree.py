@@ -17,10 +17,10 @@ at exactly that distance when there are more than k. It returns the same
 indices as the lexsort reference ``brute_force_knn`` bit for bit, because
 both order candidates by (distance^2, index) over the same bits.
 
-Radius counts (outlier pruning) and nearest distances (densify) compare
-blocks of points against each other. ``count_within`` sorts the points by x
-and compares each block of sorted rows only with the contiguous window of
-points whose x lies within the radius (sweep and prune).
+Radius counts (for ``scene.prune_outliers`` only) and nearest distances
+(densify) compare blocks of points against each other. ``count_within``
+sorts the points by x and compares each block of sorted rows only with the
+contiguous window of points whose x lies within the radius (sweep and prune).
 
 ``KDTree`` builds no tree; it holds a point set for ``query_knn``.
 """

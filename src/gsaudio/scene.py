@@ -1,7 +1,7 @@
 """Scene ingestion and geometry: Gaussian-splat point clouds, the derived
 audio point set, poses, covariance projection, vicinity queries, and
-outlier pruning. Vicinity selection and the radius counts behind pruning
-are exact queries of the one neighbour module, ``kdtree``.
+outlier pruning. Vicinity selection and the radius counts behind outlier
+pruning are exact queries of the one neighbour module, ``kdtree``.
 
 Point clouds travel as binary little-endian PLY. The Gaussian cloud uses the
 de-facto splatting schema (x,y,z; f_dc_0..2; f_rest_0..44; opacity;

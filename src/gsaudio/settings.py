@@ -41,11 +41,9 @@ SETTINGS = {
     "lambda_a": Setting(float, 0.01, bounds=(">= 0", "<= 1")),
     "lr_alpha": Setting(float, 1.6e-4, bounds=("> 0",)),
     "lr_nets": Setting(float, 5e-4, bounds=("> 0",)),
+    # the point-management cadence: prune, then densify (0: neither)
     "densify_interval": Setting(int, 500, bounds=(">= 0",)),
     "densify_threshold": Setting(float, 0.0004, bounds=("> 0",)),
-    "prune_interval": Setting(int, 3000, bounds=(">= 0",)),
-    "prune_min_neighbors": Setting(int, 8, bounds=(">= 1",)),
-    "prune_radius": Setting(float, 0.1, bounds=("> 0",)),
     "vicinity_percentile": Setting(float, 15.0),
     "eval_interval": Setting(int, 200, bounds=(">= 1",)),
     "window": Setting(int, WINDOW),

@@ -2,11 +2,13 @@
 perspectives, audio-aware point densification and pruning, metrics logging,
 and checkpointing with bit-identical resume.
 
-Per iteration the loop runs densify (on its cadence), then prune (on its
-cadence), then one gradient step on a randomly drawn training perspective,
-so pruning can never remove a point the current step is about to use. Both
-passes measure point spacing with the neighbour module ``kdtree``: densify
-by nearest-neighbour distances, prune by radius counts.
+Every ``densify_interval`` iterations, before that iteration's gradient
+step, one point-management pass reads the per-point statistics
+(``GradStats``) of the window since the last pass. Prune drops the points
+no step of the window put in a vicinity: their alpha rows got no gradient,
+so they contributed nothing. Densify then spawns a point beside each point
+whose mean alpha-gradient norm exceeds the threshold, spaced by
+``kdtree.nearest_distances``, and resets the statistics, so it runs second.
 
 Both binaural masks are constant over frames, so each reconstruction term
 is a quadratic in one gain per bin. With mono magnitudes M (F, T), a target
@@ -50,7 +52,7 @@ from .kdtree import nearest_distances
 from .model import MODEL_NAME, TRAIN_STATE_KEY, SceneModel
 from .optim import Adam, reindex_rows
 from .roomsim import ear_positions
-from .scene import Pose, outlier_indices
+from .scene import Pose
 
 log = logging.getLogger("gsaudio.training")
 
@@ -59,7 +61,7 @@ LOSS_TRACE_NAME = "loss_trace.json"
 METRICS_SCHEMA_VERSION = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainConfig:
     """The optimisation schedule: run settings, checked against the settings
     table. ``window`` and ``hop`` must equal the model's (``Trainer`` checks)."""
@@ -70,9 +72,6 @@ class TrainConfig:
     lr_nets: float
     densify_interval: int
     densify_threshold: float
-    prune_interval: int
-    prune_min_neighbors: int
-    prune_radius: float
     eval_interval: int
     seed: int
     window: int
@@ -134,8 +133,9 @@ def total_loss(tape, l_m, l_v, lambda_a):
 
 
 class GradStats:
-    """Per-point accumulated alpha-gradient magnitudes since the last
-    densification; theta() is the running mean."""
+    """Per-point accumulated alpha-gradient magnitudes and step counts over
+    the window since the last point-management pass; theta() is the running
+    mean. A count of 0 means no step of the window reached the point."""
 
     def __init__(self, n_points):
         self.grad_sum = np.zeros(n_points)
@@ -314,7 +314,8 @@ class Trainer:
 
     def densify(self):
         """Spawn one point next to every point whose mean gradient magnitude
-        exceeds the threshold; resets the statistics."""
+        over the window exceeds the threshold; resets the statistics, which
+        starts the next window."""
         theta = self.stats.theta()
         significant = np.flatnonzero(theta > self.config.densify_threshold)
         positions = self.model.positions
@@ -334,20 +335,20 @@ class Trainer:
         return int(n_new)
 
     def prune(self):
-        """Drop isolated points; optimizer state and statistics follow."""
-        try:
-            removed = outlier_indices(self.model.positions, self.config.prune_min_neighbors,
-                                      self.config.prune_radius)
-        except ContractViolation:
-            log.warning("every point is an outlier; skipping this pruning pass")
+        """Drop the points that no step of the window since the last reset
+        reached (count 0); optimizer state and statistics follow the kept
+        order. Each step reaches its vicinities, so the kept set is never
+        empty; with no step since the reset, nothing is dropped."""
+        counts = self.stats.counts
+        if not counts.any():
             return 0
-        if removed.size == 0:
-            return 0
-        keep = np.setdiff1d(np.arange(self.model.point_count), removed, assume_unique=True)
-        self.model.keep_points(keep)
-        self.opt_alpha.reindex(keep)
-        self.stats.reindex(keep)
-        return int(removed.size)
+        keep = np.flatnonzero(counts)
+        removed = self.model.point_count - keep.size
+        if removed:
+            self.model.keep_points(keep)
+            self.opt_alpha.reindex(keep)
+            self.stats.reindex(keep)
+        return int(removed)
 
     # --- evaluation ---
 
@@ -397,13 +398,12 @@ class Trainer:
             for it in range(self.iteration + 1, config.iterations + 1):
                 self.iteration = it
                 if config.densify_interval and it % config.densify_interval == 0:
-                    added = self.densify()
-                    if added:
-                        log.info("iteration %d: densified %d points", it, added)
-                if config.prune_interval and it % config.prune_interval == 0:
                     dropped = self.prune()
                     if dropped:
                         log.info("iteration %d: pruned %d points", it, dropped)
+                    added = self.densify()
+                    if added:
+                        log.info("iteration %d: densified %d points", it, added)
                 loss = self.train_step()
                 self.loss_trace.append(loss)
                 self.point_counts.append(self.model.point_count)

@@ -266,6 +266,16 @@ def test_unknown_config_key_rejected(tiny_dataset, tmp_path):
     assert "bogus_knob" in proc.stderr
 
 
+def test_config_with_a_removed_pruning_key_is_rejected(tiny_dataset, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"iterations": 5, "prune_radius": 0.1}))
+    proc = run_cli(["train", "--config", config, "--dataset", tiny_dataset,
+                    "--out", tmp_path / "x"])
+    assert proc.returncode == 1
+    assert "unknown config keys: prune_radius" in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
 def test_bench_report(tiny_run, tmp_path):
     out_path = tmp_path / "bench.json"
     proc = run_cli(["bench", "--checkpoint", tiny_run / "final", "--n", 10,

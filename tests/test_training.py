@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import os
 
 import numpy as np
@@ -31,8 +32,8 @@ def small_dataset(tmp_path_factory):
     return Dataset.load(root)
 
 
-def make_trainer(dataset, seed=3, iterations=50, **overrides):
-    cfg = load_run_config(None, {"seed": seed, "init_points": 128})
+def make_trainer(dataset, seed=3, iterations=50, points=128, **overrides):
+    cfg = load_run_config(None, {"seed": seed, "init_points": points})
     model = build_model(dataset, cfg)
     tcfg = train_config_from(cfg, iterations=iterations)
     tcfg.densify_interval = 0
@@ -350,6 +351,58 @@ def test_nearest_distances_match_per_point_loop(n):
     assert got[-1] == (1.0 if n == 1 else 0.0)
 
 
+# --- pruning ---
+
+def pruned_state(trainer):
+    """Every per-point array that a prune pass re-indexes."""
+    [(m, v, t)] = trainer.opt_alpha.state_arrays()
+    return {"positions": trainer.model.positions.copy(),
+            "alphas": trainer.model.alphas.data.copy(), "m": m, "v": v, "t": t,
+            "grad_sum": trainer.stats.grad_sum.copy(), "counts": trainer.stats.counts.copy()}
+
+
+def test_prune_drops_exactly_the_points_no_step_reached(small_dataset, monkeypatch):
+    trainer = make_trainer(small_dataset, points=512)
+    contexts = []
+    mask_tensors = trainer.model.mask_tensors
+
+    def spy(*args, **kwargs):
+        out = mask_tensors(*args, **kwargs)
+        contexts.append(out[2])
+        return out
+
+    monkeypatch.setattr(trainer.model, "mask_tensors", spy)
+    trainer.train_step()
+    [ctx] = contexts
+    keep = np.union1d(ctx.listener_indices, ctx.source_indices)
+    before = pruned_state(trainer)
+    assert trainer.prune() == 512 - keep.size > 0
+    after = pruned_state(trainer)
+    for name, array in before.items():
+        assert np.array_equal(after[name], array[keep]), name
+
+
+def test_prune_with_no_step_since_the_reset_changes_nothing(small_dataset):
+    trainer = make_trainer(small_dataset)
+    trainer.train_step()
+    trainer.densify()  # resets the statistics
+    before = pruned_state(trainer)
+    assert trainer.prune() == 0
+    after = pruned_state(trainer)
+    for name, array in before.items():
+        assert np.array_equal(after[name], array), name
+
+
+def test_prune_at_32768_points_neither_raises_nor_skips(small_dataset, caplog):
+    trainer = make_trainer(small_dataset, points=32768)
+    trainer.train_step()
+    reached = np.count_nonzero(trainer.stats.counts)
+    with caplog.at_level(logging.DEBUG, logger="gsaudio"):
+        assert trainer.prune() == 32768 - reached
+    assert trainer.model.point_count == reached
+    assert not caplog.records
+
+
 # --- single steps ---
 
 def test_descent_on_frozen_sample(small_dataset):
@@ -436,14 +489,13 @@ def test_render_and_train_step_build_no_kd_tree(small_dataset, monkeypatch):
     assert np.all(np.isfinite(left.samples)) and np.all(np.isfinite(right.samples))
     tcfg = train_config_from(cfg, iterations=1)
     tcfg.densify_interval = 0
-    tcfg.prune_radius = 0.5
-    tcfg.prune_min_neighbors = 2
     trainer = Trainer(model, small_dataset, tcfg)
     assert np.isfinite(trainer.train_step())
-    trainer.densify()
+    # prune before densify, which resets the statistics prune reads
     before = model.point_count
     removed = trainer.prune()
     assert removed > 0 and model.point_count == before - removed
+    trainer.densify()
 
 
 def test_identical_seeds_give_identical_traces(small_dataset):
@@ -505,16 +557,52 @@ def test_run_training_metrics_log_shape(small_dataset, tmp_path):
         assert os.listdir(tmp_path / "run" / sub) == ["model.bin"]
 
 
-def test_point_count_changes_only_on_schedule(small_dataset, tmp_path):
+def test_point_count_changes_only_on_schedule(small_dataset, tmp_path, monkeypatch):
     trainer = make_trainer(small_dataset, iterations=90, eval_interval=30,
-                           densify_interval=25, densify_threshold=1e-9,
-                           prune_interval=40)
+                           densify_interval=25, densify_threshold=1e-9)
+    removals = {}
+    prune = trainer.prune
+
+    def recording_prune():
+        removals[trainer.iteration] = prune()
+        return removals[trainer.iteration]
+
+    monkeypatch.setattr(trainer, "prune", recording_prune)
     result = trainer.run(tmp_path / "run")
     counts = result.point_counts
     changes = {i + 2 for i in range(len(counts) - 1) if counts[i + 1] != counts[i]}
-    allowed = {it for it in range(1, 91) if it % 25 == 0 or it % 40 == 0}
-    assert changes <= allowed
+    assert set(removals) == {25, 50, 75}
+    assert changes <= set(removals)
     assert changes  # densification at threshold 1e-9 must actually fire
+    assert any(removals.values())  # and a pass drops points no step reached
+
+
+def test_run_prunes_with_the_window_statistics(small_dataset, tmp_path, monkeypatch):
+    # the counts prune reads at a pass are the tally of the steps since the
+    # previous pass: not zeros (densify resets them after prune), not a
+    # longer history
+    trainer = make_trainer(small_dataset, iterations=12, eval_interval=12, densify_interval=4)
+    window, seen = [], {}
+    update, prune = trainer.stats.update, trainer.prune
+
+    def tally(indices, magnitudes):
+        window.append(np.array(indices))
+        update(indices, magnitudes)
+
+    def recording_prune():
+        want = np.zeros(trainer.model.point_count, dtype=np.int64)
+        for indices in window:
+            want[indices] += 1
+        seen[trainer.iteration] = (trainer.stats.counts.copy(), want, len(window))
+        window.clear()
+        return prune()
+
+    monkeypatch.setattr(trainer.stats, "update", tally)
+    monkeypatch.setattr(trainer, "prune", recording_prune)
+    trainer.run(tmp_path / "run")
+    assert {it: steps for it, (_, _, steps) in seen.items()} == {4: 3, 8: 4, 12: 4}
+    for counts, want, _ in seen.values():
+        assert counts.any() and np.array_equal(counts, want)
 
 
 def test_resume_reproduces_next_eval(small_dataset, tmp_path):
@@ -610,6 +698,23 @@ def test_resume_reads_the_checkpoint_once(small_dataset, tmp_path, monkeypatch):
     assert resumed.train_step() == trainer.train_step()
 
 
+def test_checkpoint_with_the_old_pruning_keys_resumes(small_dataset, tmp_path):
+    # older checkpoints saved three pruning settings in their schedule; a
+    # resume compares only the current schedule's keys
+    trainer = make_trainer(small_dataset)
+    trainer.train_step()
+    trainer._save_checkpoint(str(tmp_path))
+    path = tmp_path / "model.bin"
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        buffer = fh.read()
+    header["train_state"]["config"].update(prune_interval=3000, prune_min_neighbors=8,
+                                           prune_radius=0.1)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + buffer)
+    resumed = Trainer.resume(str(tmp_path), small_dataset, trainer.config)
+    assert resumed.train_step() == trainer.train_step()
+
+
 def test_model_without_train_state_does_not_resume(small_dataset, tmp_path):
     trainer = make_trainer(small_dataset)
     trainer.model.save(tmp_path)
@@ -691,3 +796,9 @@ def test_train_config_validation():
         train_config_from(dict(cfg, lambda_a=1.5))
     with pytest.raises(ConfigError, match="iterations"):
         train_config_from(cfg, iterations=0)
+
+
+def test_train_config_refuses_unknown_attributes():
+    tcfg = train_config_from(load_run_config())
+    with pytest.raises(AttributeError):
+        tcfg.prune_radius = 0.5
