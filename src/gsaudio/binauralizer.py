@@ -249,8 +249,13 @@ def binauralize(mono: Waveform, masks: AcousticMasks, window=WINDOW, hop=HOP):
             log.warning("negative channel magnitudes clamped on %.1f%% of bins",
                         100.0 * clamped / (spec.bins.size * 2))
     gains = np.maximum(gains, 0.0)
-    return tuple(
-        istft(Spectrogram(bins=g[:, None] * spec.bins, window=window, hop=hop,
-                          sample_rate=mono.sample_rate), length=len(mono))
-        for g in gains
-    )
+    # the frame-major (frames, bins) spectrum, scaled into one buffer that
+    # each channel rewrites; istft reads its transposed view row by row
+    frames = spec.bins.T
+    scaled = np.empty_like(frames)
+    channels = []
+    for g in gains:
+        np.multiply(frames, g, out=scaled)
+        channels.append(istft(Spectrogram(bins=scaled.T, window=window, hop=hop,
+                                          sample_rate=mono.sample_rate), length=len(mono)))
+    return tuple(channels)

@@ -48,19 +48,17 @@ from typing import get_args  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+# what every command needs; the data, simulation and training modules are
+# imported by the commands that use them, so ``render`` loads none of them
 from .binauralizer import MaskNetwork, binauralize  # noqa: E402
-from .dataset import Dataset, synth_dataset  # noqa: E402
 from .dsp import Waveform  # noqa: E402
 from .errors import (ConfigError, ContractViolation, DataError, EvaluationError,  # noqa: E402
                      GeometryError, GsAudioError, SchemaError)
 from .field import FieldNetwork  # noqa: E402
 from .model import SceneModel  # noqa: E402
-from .roomsim import ShoeboxRoom  # noqa: E402
 from .scene import (Pose, alpha_width, init_audio_points, load_gaussian_cloud,  # noqa: E402
                     synthetic_cloud)
 from .settings import SETTINGS, load_run_config  # noqa: E402
-from .training import (TrainConfig, Trainer, codec_baselines, evaluate_binaural,  # noqa: E402
-                       evaluate_rir)
 from .wavio import read_wav, write_wav  # noqa: E402
 
 log = logging.getLogger("gsaudio.cli")
@@ -79,12 +77,14 @@ VICINITY_ABLATION_PERCENTILES = (5.0, 10.0, 15.0, 20.0, 25.0)
 def train_config_from(cfg, iterations=None):
     """The run config's ``TrainConfig`` fields; ``iterations`` overrides the
     config when given."""
+    from .training import TrainConfig
+
     if iterations is not None:
         cfg = dict(cfg, iterations=iterations)
     return TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
 
 
-def build_model(dataset: Dataset, cfg, alpha_selection=None, percentile=None):
+def build_model(dataset, cfg, alpha_selection=None, percentile=None):
     """Fresh model for a dataset: points from the supplied splat PLY or a
     synthesized uniform cloud, networks seeded from the run seed. The model
     owns the run config's mode, vicinity percentile, window and hop."""
@@ -114,11 +114,15 @@ def _require(cfg, key, hint):
 
 
 def _room_from(cfg):
+    from .roomsim import ShoeboxRoom
+
     return ShoeboxRoom(dimensions=np.asarray(cfg["room"], dtype=np.float64),
                        absorption=np.asarray(cfg["absorption"], dtype=np.float64))
 
 
 def cmd_gen_data(cfg):
+    from .dataset import synth_dataset
+
     out = _require(cfg, "out", "--out")
     with_rir = cfg["with_rir"] if cfg["with_rir"] is not None else cfg["mode"] == "rir"
     manifest = synth_dataset(
@@ -143,6 +147,9 @@ def cmd_gen_data(cfg):
 
 
 def cmd_train(cfg):
+    from .dataset import Dataset
+    from .training import Trainer
+
     out = _require(cfg, "out", "--out")
     dataset = Dataset.load(_require(cfg, "dataset", "--dataset"))
     train_cfg = train_config_from(cfg)
@@ -200,6 +207,9 @@ def cmd_render(cfg):
 
 
 def cmd_eval(cfg):
+    from .dataset import Dataset
+    from .training import codec_baselines, evaluate_binaural, evaluate_rir
+
     checkpoint = _require(cfg, "checkpoint", "--checkpoint")
     dataset = Dataset.load(_require(cfg, "dataset", "--dataset"))
     split = cfg["split"]
@@ -227,6 +237,9 @@ def cmd_eval(cfg):
 
 
 def cmd_ablate(cfg):
+    from .dataset import Dataset
+    from .training import Trainer, evaluate_binaural
+
     axis = _require(cfg, "axis", "--axis")
     if cfg["mode"] != "binaural":
         raise ConfigError("ablate scores renders, so it needs binaural mode")

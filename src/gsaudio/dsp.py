@@ -14,6 +14,13 @@ Neither transform loops over frames. ``stft`` frames by a strided view;
 one operation. Output block i receives block j of frame i - j, so going from
 the last block of a frame to the first sums each sample's frames in
 ascending frame order: the order, and so the bits, of a per-frame loop.
+
+Spectra stay frame-major, the way ``np.fft.rfft`` writes them: ``stft``'s
+``bins`` is the (F, T) transposed view of the (T, F) FFT output, with no
+copy, and ``istft`` hands ``bins.T`` back to ``np.fft.irfft``, which then
+reads contiguous rows. ``Spectrogram.magnitudes()`` alone is bin-major
+(C-ordered (F, T)): the training statistics and ``mag_distance`` reduce
+over it, and their sums keep their bits only in that order.
 """
 
 from __future__ import annotations
@@ -56,6 +63,12 @@ class Waveform:
 
 @dataclass
 class Spectrogram:
+    """Complex STFT bins, indexed (bin, frame). ``stft`` gives the
+    F-ordered view of a frame-major (frames, bins) array; any layout of the
+    same values inverts to the same bytes. ``magnitudes()`` is C-ordered
+    (bin-major), the order the training and distance reductions rely on for
+    their bits."""
+
     bins: np.ndarray  # complex, shape (window//2 + 1, frames)
     window: int
     hop: int
@@ -70,7 +83,9 @@ class Spectrogram:
         return self.bins.shape[1]
 
     def magnitudes(self):
-        return np.abs(self.bins)
+        # abs over the frame-major rows, then one transposing copy: faster
+        # than an abs that writes bin-major through strides
+        return np.abs(self.bins.T).T.copy()
 
 
 def hann(n):
@@ -99,14 +114,15 @@ def stft(wave: Waveform, window=WINDOW, hop=HOP) -> Spectrogram:
     padded[half : half + x.size] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, window)[::hop]
     spec = np.fft.rfft(frames * hann(window)[None, :], axis=1)
-    return Spectrogram(bins=spec.T.copy(), window=window, hop=hop, sample_rate=wave.sample_rate)
+    return Spectrogram(bins=spec.T, window=window, hop=hop, sample_rate=wave.sample_rate)
 
 
 def istft(spec: Spectrogram, length=None) -> Waveform:
     _check_params(spec.window, spec.hop)
     window, hop = spec.window, spec.hop
     win = hann(window)
-    frames = np.fft.irfft(spec.bins.T, n=window, axis=1) * win[None, :]
+    frames = np.fft.irfft(spec.bins.T, n=window, axis=1)
+    frames *= win
     n_frames = frames.shape[0]
     per_frame = window // hop
     padded_len = (n_frames - 1) * hop + window

@@ -192,7 +192,11 @@ class _BinauralSample:
         centers, misfits = [], []
         for target in (left_mag, right_mag):
             center = np.einsum("ft,ft->f", mono_mag, target)[:, None] / divisor
-            misfit = np.multiply(center, mono_mag)
+            # fill, then multiply in place: one contiguous pass, where a
+            # broadcast (F, 1) x (F, T) product runs F short row loops
+            misfit = np.empty_like(mono_mag)
+            misfit[...] = center
+            misfit *= mono_mag
             np.subtract(target, misfit, out=misfit)
             centers.append(center)
             misfits.append(misfit)

@@ -289,7 +289,26 @@ def test_binauralize_peak_memory_below_five_spectrograms():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * spec_bytes, peak / spec_bytes
+    # one mono spectrum, one scaled-spectrum buffer and the inverse's frames
+    assert peak < 4.25 * spec_bytes, peak / spec_bytes
+
+
+@pytest.mark.parametrize("length", [1, 129, 22050])
+def test_binauralize_matches_per_channel_scaled_spectra(length):
+    # the reference scales bin-major bins into a new spectrum per channel;
+    # the masks give negative gains, so the clamp is exercised too
+    rng = np.random.default_rng(length + 7)
+    mono = Waveform(rng.uniform(-1.0, 1.0, length), 22050)
+    masks = AcousticMasks(mixture=rng.uniform(0.0, 2.0, N_BINS),
+                          difference=rng.uniform(-1.0, 1.0, N_BINS))
+    gains = np.maximum(0.5 * np.stack([masks.mixture + masks.difference,
+                                       masks.mixture - masks.difference]), 0.0)
+    assert np.any(masks.mixture - np.abs(masks.difference) < 0)
+    bins = np.ascontiguousarray(stft(mono).bins)
+    want = [istft(Spectrogram(bins=g[:, None] * bins, window=512, hop=128,
+                              sample_rate=22050), length=length).samples.tobytes()
+            for g in gains]
+    assert [c.samples.tobytes() for c in binauralize(mono, masks)] == want
 
 
 # --- differentiability ---

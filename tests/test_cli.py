@@ -370,8 +370,8 @@ def test_ablate_evaluates_each_final_model_once(tiny_dataset, tmp_path, monkeypa
         calls.append(args[2])
         return evaluate(*args, **kwargs)
 
+    # cmd_ablate imports evaluate_binaural from training when it runs
     monkeypatch.setattr(training, "evaluate_binaural", counting)
-    monkeypatch.setattr(cli, "evaluate_binaural", counting)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"eval_interval": eval_interval}))
     out = tmp_path / "ablate"
@@ -567,3 +567,25 @@ def test_settings_load_without_training():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+TRAINING_MODULES = ("training", "dataset", "roomsim", "irmetrics", "optim")
+
+
+def test_render_loads_no_training_module(tiny_run, tmp_path):
+    # the whole render command runs in the child, so imports made inside
+    # the command count too
+    mono_path = tmp_path / "probe.wav"
+    write_wav(mono_path, np.random.default_rng(2).standard_normal(4096) * 0.2, 22050)
+    args = ["render", "--checkpoint", str(tiny_run / "final"), "--pose", "3.0,2.0,1.5,0.5",
+            "--mono", str(mono_path), "--out", str(tmp_path / "out.wav")]
+    code = ("import json, sys\n"
+            "from gsaudio.cli import main\n"
+            f"code = main({args!r})\n"
+            f"loaded = [m for m in {TRAINING_MODULES!r} if 'gsaudio.' + m in sys.modules]\n"
+            "print(json.dumps({'code': code, 'loaded': loaded}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"code": 0, "loaded": []}
+    assert (tmp_path / "out.wav").exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,47 @@ def test_transforms_bit_equal_to_gather_and_frame_loop(length, window, hop):
         out = istft(masked, length=out_len).samples
         ref = reference_istft(masked.bins, window, hop, out_len)
         assert out.tobytes() == ref.tobytes()
+
+
+# --- layout: frame-major bins, bin-major magnitudes ---
+
+def test_stft_bins_are_the_transposed_fft_output():
+    x = np.random.default_rng(30).standard_normal(5000)
+    spec = stft(wave(x))
+    # the (F, T) view of the frame-major (T, F) FFT output, not a copy
+    assert spec.bins.flags.f_contiguous and not spec.bins.flags.c_contiguous
+    assert spec.bins.base is not None
+    assert spec.bins.T.flags.c_contiguous
+    assert spec.bins.tobytes() == reference_stft_bins(x, 512, 128).tobytes()
+
+
+def test_magnitudes_are_bin_major():
+    spec = stft(wave(np.random.default_rng(31).standard_normal(5000)))
+    mags = spec.magnitudes()
+    assert mags.flags.c_contiguous
+    assert mags.tobytes() == np.abs(np.ascontiguousarray(spec.bins)).tobytes()
+
+
+def test_istft_same_bytes_for_either_bin_order():
+    rng = np.random.default_rng(32)
+    bins = rng.standard_normal((257, 60)) + 1j * rng.standard_normal((257, 60))
+    outs = [istft(Spectrogram(bins=b, window=512, hop=128, sample_rate=22050),
+                  length=7000).samples.tobytes()
+            for b in (np.ascontiguousarray(bins), np.asfortranarray(bins))]
+    assert outs[0] == outs[1]
+
+
+def test_istft_peak_memory_below_1_75_spectrograms():
+    # irfft's frames are windowed in place: no second frame-sized array
+    spec = stft(wave(np.random.default_rng(33).uniform(-1.0, 1.0, 22050)))
+    istft(spec, length=22050)
+    tracemalloc.start()
+    try:
+        istft(spec, length=22050)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * spec.bins.nbytes, peak / spec.bins.nbytes
 
 
 def test_zero_spectrogram_gives_zero_waveform():
