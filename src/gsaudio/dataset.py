@@ -5,6 +5,8 @@ and, when generated for impulse-response work, rir/NNN_l.wav and
 rir/NNN_r.wav. The manifest records the room, the fixed source position and
 per-sample listener poses with train/val split labels. Generation is fully
 deterministic per seed, so identical seeds produce byte-identical trees.
+Loading checks every record and reads no waveform; ``Dataset.sample`` reads
+one sample's files each time it is called.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import SAMPLE_RATE, Waveform
-from .errors import ConfigError, DataError, GeometryError
+from .errors import ConfigError, DataError, GeometryError, SchemaError
 from .roomsim import HEAD_RADIUS, ShoeboxRoom, binaural_render, ear_impulse_responses
 from .scene import Pose
 from .settings import SETTINGS
@@ -31,6 +33,8 @@ RIR_SMOOTHING_MS = 4.0
 SWEEP_F0 = 80.0
 SWEEP_F1 = 8000.0
 BURST_STARTS = (0.05, 0.55)  # seconds
+SPLITS = ("train", "val")
+RECORD_FIELDS = ("id", "listener", "yaw", "split", "mono", "binaural")
 
 
 @dataclass
@@ -193,14 +197,53 @@ def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed
     return manifest
 
 
+def _finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _listener_poses(path, records):
+    """Each record's listener ``Pose``, keyed by sample id; a record that
+    misses a field raises ``SchemaError``, one whose values are unusable
+    ``DataError``."""
+    if not isinstance(records, list):
+        raise DataError(f"{path}: samples must be a list")
+    poses = {}
+    for index, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise DataError(f"{path}: sample #{index} is not an object")
+        name = f"sample {rec['id']}" if "id" in rec else f"sample #{index}"
+        for field in RECORD_FIELDS:
+            if field not in rec:
+                raise SchemaError(field, f"{path}: {name}: missing required field: {field}")
+        sid, listener, yaw = rec["id"], rec["listener"], rec["yaw"]
+        if not isinstance(sid, str):
+            raise DataError(f"{path}: {name}: id must be a string")
+        if sid in poses:
+            raise DataError(f"{path}: duplicate sample id {sid!r}")
+        if not (isinstance(listener, list) and len(listener) == 3
+                and all(_finite_number(v) for v in listener)):
+            raise DataError(f"{path}: {name}: listener must be 3 finite numbers, "
+                            f"got {listener!r}")
+        if not _finite_number(yaw):
+            raise DataError(f"{path}: {name}: yaw must be a finite number, got {yaw!r}")
+        if rec["split"] not in SPLITS:
+            raise DataError(f"{path}: {name}: split must be one of {', '.join(SPLITS)}, "
+                            f"got {rec['split']!r}")
+        poses[sid] = Pose.from_yaw(np.asarray(listener, dtype=np.float64), yaw)
+    return poses
+
+
 class Dataset:
-    """Loaded dataset directory; waveforms are read eagerly per sample on
-    first access and cached."""
+    """Loaded dataset directory. The manifest is parsed, checked and each
+    record's listener ``Pose`` built once, at load; ``sample`` reads the
+    waveforms from disk on every call and keeps none, so a reader holds only
+    the samples it keeps itself."""
 
     def __init__(self, root, manifest):
         self.root = root
         self.manifest = manifest
-        self._cache = {}
+        self._poses = _listener_poses(os.path.join(root, MANIFEST_NAME), manifest["samples"])
 
     @classmethod
     def load(cls, root):
@@ -209,7 +252,7 @@ class Dataset:
             raise DataError(f"{root}: no {MANIFEST_NAME}")
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if "samples" not in manifest:
+        if not isinstance(manifest, dict) or "samples" not in manifest:
             raise DataError(f"{path}: manifest has no samples")
         return cls(root, manifest)
 
@@ -229,14 +272,14 @@ class Dataset:
         recs = self.manifest["samples"]
         if split is None:
             return list(recs)
-        if split not in ("train", "val"):
+        if split not in SPLITS:
             raise ConfigError(f"unknown split {split!r}")
         return [r for r in recs if r["split"] == split]
 
     def sample(self, record) -> RenderedSample:
+        """``record``'s waveforms, read from disk: each call returns new
+        arrays, and the record's one ``Pose``."""
         sid = record["id"]
-        if sid in self._cache:
-            return self._cache[sid]
         sr = self.sample_rate
         mono_data, sr_mono = read_wav(os.path.join(self.root, record["mono"]))
         stereo, sr_bi = read_wav(os.path.join(self.root, record["binaural"]))
@@ -244,7 +287,6 @@ class Dataset:
             raise DataError(f"sample {sid}: sample-rate mismatch")
         if stereo.ndim != 2 or stereo.shape[1] != 2 or stereo.shape[0] != mono_data.size:
             raise DataError(f"sample {sid}: malformed binaural file")
-        pose = Pose.from_yaw(np.asarray(record["listener"], dtype=np.float64), record["yaw"])
         ir_left = ir_right = None
         if "rir_left" in record:
             data_l, sr_l = read_wav(os.path.join(self.root, record["rir_left"]))
@@ -253,9 +295,9 @@ class Dataset:
                 raise DataError(f"sample {sid}: impulse-response sample-rate mismatch")
             ir_left = Waveform(data_l, sr)
             ir_right = Waveform(data_r, sr)
-        sample = RenderedSample(
+        return RenderedSample(
             sample_id=sid,
-            pose=pose,
+            pose=self._poses[sid],
             split=record["split"],
             mono=Waveform(mono_data, sr),
             left=Waveform(stereo[:, 0], sr),
@@ -263,8 +305,7 @@ class Dataset:
             ir_left=ir_left,
             ir_right=ir_right,
         )
-        self._cache[sid] = sample
-        return sample
 
     def samples(self, split=None):
+        """Every sample of ``split``, read now; the caller holds them all."""
         return [self.sample(r) for r in self.records(split)]

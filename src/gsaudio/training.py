@@ -259,6 +259,8 @@ class Trainer:
             raise ConfigError("dataset has no training samples")
 
     def _build_cache(self):
+        """Reads each training sample once and keeps only what the loss reads:
+        the per-bin statistics, or each ear's impulse response."""
         cache = []
         records = self.dataset.records("train")
         if self.model.mode == "binaural":
@@ -499,26 +501,33 @@ def load_train_state(path, header, arrays, trainer):
 # --- evaluation helpers ---
 
 
-def evaluate_binaural(model: SceneModel, dataset: Dataset, split, window=WINDOW, hop=HOP):
-    samples = dataset.samples(split)
-    if not samples:
+def _split_records(dataset: Dataset, split):
+    """``split``'s records. The evaluators read them one sample at a time, so
+    they hold one sample's waveforms whatever the split's size."""
+    records = dataset.records(split)
+    if not records:
         raise ConfigError(f"no samples in split {split!r}")
+    return records
+
+
+def evaluate_binaural(model: SceneModel, dataset: Dataset, split, window=WINDOW, hop=HOP):
+    records = _split_records(dataset, split)
     mag = env = 0.0
-    for s in samples:
+    for rec in records:
+        s = dataset.sample(rec)
         left, right = model.render(s.pose, s.mono)
         mag += mag_distance((left, right), (s.left, s.right), window, hop)
         env += env_distance((left, right), (s.left, s.right))
-    return {"mag": mag / len(samples), "env": env / len(samples)}
+    return {"mag": mag / len(records), "env": env / len(records)}
 
 
 def evaluate_rir(model: SceneModel, dataset: Dataset, split):
-    samples = dataset.samples(split)
-    if not samples:
-        raise ConfigError(f"no samples in split {split!r}")
+    records = _split_records(dataset, split)
     sums = {"t60_error_percent": 0.0, "c50_error_db": 0.0, "edt_error_sec": 0.0}
     valid = 0
     excluded = 0
-    for s in samples:
+    for rec in records:
+        s = dataset.sample(rec)
         if s.ir_left is None or s.ir_right is None:
             raise ConfigError(f"sample {s.sample_id} has no impulse responses")
         for pose, gt in zip(ear_perspectives(s), (s.ir_left, s.ir_right)):
@@ -539,12 +548,11 @@ def evaluate_rir(model: SceneModel, dataset: Dataset, split):
 def codec_baselines(dataset: Dataset, split="val", window=WINDOW, hop=HOP):
     """Reference predictions: duplicated mono, energy-matched mono, and
     per-channel energy-matched mono; averaged MAG/ENV over the split."""
-    samples = dataset.samples(split)
-    if not samples:
-        raise ConfigError(f"no samples in split {split!r}")
+    records = _split_records(dataset, split)
     totals = {name: {"mag": 0.0, "env": 0.0} for name in
               ("mono_mono", "mono_energy", "stereo_energy")}
-    for s in samples:
+    for rec in records:
+        s = dataset.sample(rec)
         gt = (s.left, s.right)
         e_mono, e_left, e_right = s.mono.energy(), s.left.energy(), s.right.energy()
         scale_mono = np.sqrt(((e_left + e_right) / 2.0) / e_mono) if e_mono > 0 else 0.0
@@ -561,6 +569,6 @@ def codec_baselines(dataset: Dataset, split="val", window=WINDOW, hop=HOP):
         for name, pred in preds.items():
             totals[name]["mag"] += mag_distance(pred, gt, window, hop)
             totals[name]["env"] += env_distance(pred, gt)
-    n = len(samples)
+    n = len(records)
     return {name: {"mag": vals["mag"] / n, "env": vals["env"] / n}
             for name, vals in totals.items()}

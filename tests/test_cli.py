@@ -389,6 +389,60 @@ def test_ablate_evaluates_each_final_model_once(tiny_dataset, tmp_path, monkeypa
             assert (row["mag"], row["env"]) == (last["mag"], last["env"])
 
 
+def _drop_yaw(recs):
+    del recs[1]["yaw"]
+
+
+def _set(field, value):
+    def edit(recs):
+        recs[1][field] = value
+    return edit
+
+
+def _duplicate_id(recs):
+    recs[1]["id"] = recs[0]["id"]
+
+
+# (edit of the manifest's records, error class, words the message holds)
+MALFORMED_RECORDS = {
+    "listener-of-two": (_set("listener", [1.0, 2.0]), "DataError", ["listener", "3 finite"]),
+    "listener-nan": (_set("listener", [1.0, float("nan"), 1.0]), "DataError", ["listener"]),
+    "no-yaw": (_drop_yaw, "SchemaError", ["missing required field: yaw"]),
+    "yaw-inf": (_set("yaw", float("inf")), "DataError", ["yaw", "finite"]),
+    "split-test": (_set("split", "test"), "DataError", ["split", "'test'"]),
+    "duplicate-id": (_duplicate_id, "DataError", ["duplicate sample id"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_manifest_record_is_a_named_error(tiny_dataset, tmp_path, capsys,
+                                                    case, command):
+    from gsaudio import cli, errors
+    from gsaudio.dataset import Dataset
+
+    edit, error, words = MALFORMED_RECORDS[case]
+    manifest = json.loads((tiny_dataset / "manifest.json").read_text())
+    edit(manifest["samples"])
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(getattr(errors, error)):
+        Dataset.load(data)
+    args = (["train", "--iterations", "5"] if command == "train"
+            else ["eval", "--checkpoint", str(tmp_path / "no-checkpoint")])
+    capsys.readouterr()
+    code = cli.main(args + ["--dataset", str(data), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    named = manifest["samples"][1]["id"]
+    assert f"sample {named}" in err or f"{named!r}" in err
+    for word in words:
+        assert word in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_required_flag_is_usage_error(tiny_dataset):
     proc = run_cli(["train", "--dataset", tiny_dataset])
     assert proc.returncode == 1

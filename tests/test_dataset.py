@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from gsaudio.dataset import Dataset, bandlimit_ir, pink_noise_burst, sine_sweep, synth_dataset
 from gsaudio.errors import ConfigError, GeometryError
 from gsaudio.roomsim import ShoeboxRoom
+from gsaudio.scene import Pose
 
 ROOM = ShoeboxRoom([6.0, 4.0, 3.0], 0.5)
 
@@ -107,3 +110,37 @@ def test_manifest_json_is_sorted_and_versioned(tmp_path):
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert manifest["schema_version"] == 1
     assert manifest["room"]["dimensions"] == [6.0, 4.0, 3.0]
+
+
+def test_sample_reads_new_waveforms_with_the_records_one_pose(tmp_path):
+    synth_dataset(tmp_path / "d", ROOM, n_samples=5, seed=5, duration=0.25, with_rir=True,
+                  ir_duration=0.1)
+    ds = Dataset.load(tmp_path / "d")
+    rec = ds.records()[0]
+    a, b = ds.sample(rec), ds.sample(rec)
+    assert a.pose is b.pose is ds.samples()[0].pose
+    expected = Pose.from_yaw(np.asarray(rec["listener"]), rec["yaw"])
+    assert np.array_equal(a.pose.position, expected.position)
+    assert np.array_equal(a.pose.direction, expected.direction)
+    for wa, wb in ((a.mono, b.mono), (a.left, b.left), (a.right, b.right),
+                   (a.ir_left, b.ir_left), (a.ir_right, b.ir_right)):
+        assert not np.shares_memory(wa.samples, wb.samples)
+        assert np.array_equal(wa.samples, wb.samples)
+
+
+def test_a_dropped_sample_leaves_no_bytes_held(tmp_path):
+    synth_dataset(tmp_path / "d", ROOM, n_samples=5, seed=5, duration=0.25)
+    ds = Dataset.load(tmp_path / "d")
+    rec = ds.records()[0]
+    waveform_bytes = 3 * 8 * round(0.25 * ds.sample_rate)  # mono, left, right in float64
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            ds.sample(rec)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < waveform_bytes / 100

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import logging
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from gsaudio.errors import ConfigError, ContractViolation, DataError, Evaluation
 from gsaudio.kdtree import KDTree, nearest_distances
 from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.training import (GradStats, Trainer, _BinauralSample,
-                              codec_baselines, loss_reconstruction,
+                              codec_baselines, evaluate_binaural, loss_reconstruction,
                               loss_reconstruction_binned, loss_volume, mixture_magnitude,
                               total_loss)
 
@@ -802,3 +804,69 @@ def test_train_config_refuses_unknown_attributes():
     tcfg = train_config_from(load_run_config())
     with pytest.raises(AttributeError):
         tcfg.prune_radius = 0.5
+
+
+# --- memory: a run holds statistics, not waveforms ---
+
+SHORT_CLIP = 0.25  # seconds
+
+
+def waveform_bytes(sample):
+    return sample.mono.samples.nbytes + sample.left.samples.nbytes + sample.right.samples.nbytes
+
+
+def held_by_new_trainer(root, n_samples):
+    """A trainer on a fresh ``n_samples`` dataset of short clips, and the
+    bytes still allocated once its constructor returned."""
+    synth_dataset(root, ROOM, n_samples=n_samples, seed=3, duration=SHORT_CLIP)
+    dataset = Dataset.load(root)
+    cfg = load_run_config(None, {"seed": 3, "init_points": 128})
+    model = build_model(dataset, cfg)
+    config = train_config_from(cfg, iterations=10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trainer = Trainer(model, dataset, config)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return trainer, held
+
+
+def test_trainer_memory_grows_by_the_statistics_not_the_waveforms(tmp_path):
+    small, held_small = held_by_new_trainer(tmp_path / "d10", 10)
+    large, held_large = held_by_new_trainer(tmp_path / "d40", 40)
+    added = len(large._train_cache) - len(small._train_cache)
+    assert added == 24
+    statistics = [sum(t.data.nbytes for t in (s.power, s.c_m, s.c_l, s.c_r))
+                  for s in large._train_cache]
+    per_sample_waves = waveform_bytes(large.dataset.sample(large.dataset.records("train")[0]))
+    growth = held_large - held_small
+    # each sample may add its statistics and up to 2 KB of object headers
+    assert growth < added * (max(statistics) + 2048)
+    assert growth < added * per_sample_waves / 10
+
+
+def test_evaluation_holds_one_sample_at_a_time(tmp_path):
+    root = tmp_path / "d"
+    synth_dataset(root, ROOM, n_samples=25, seed=4, duration=SHORT_CLIP)
+    cfg = load_run_config(None, {"seed": 4, "init_points": 128})
+    model = build_model(Dataset.load(root), cfg)
+    evaluate_binaural(model, Dataset.load(root), "val")  # warm the model's caches
+
+    def peak(split):
+        dataset = Dataset.load(root)
+        assert len(dataset.records(split)) == {"train": 20, "val": 5}[split]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluate_binaural(model, dataset, split)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    dataset = Dataset.load(root)
+    one_sample = waveform_bytes(dataset.sample(dataset.records("val")[0]))
+    assert peak("train") - peak("val") < one_sample
