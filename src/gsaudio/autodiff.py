@@ -1,14 +1,19 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over float64 arrays.
 
 A Tape records every primitive applied to tracked tensors, in execution
 order. Gradients come from walking that record backwards once, so the
-accumulation order is fixed and repeat runs are bit-identical. The primitive
-set is small on purpose: matrix multiply, the fused dense layer ``dense``
-(matmul, bias and optional relu as one entry, so a layer makes one output
-array and one finite scan; its input may be a list of column blocks, where
-a one-row block is multiplied once and broadcast over the output's rows),
-broadcast arithmetic, relu and sigmoid, concatenation, row gathering,
-reductions, and a row-wise product used by the volume regularizer.
+accumulation order is fixed and repeat runs are bit-identical. Gradients are
+dense arrays, except that ``gather_rows`` gives its input a ``RowSparse``
+gradient, which holds only the rows it gathered: a step that reads a few
+rows of a large parameter makes no gradient of the parameter's full size.
+
+The primitive set is small on purpose: matrix multiply, the fused dense
+layer ``dense`` (matmul, bias and optional relu as one entry, so a layer
+makes one output array and one finite scan; its input may be a list of
+column blocks, where a one-row block is multiplied once and broadcast over
+the output's rows), broadcast arithmetic, relu and sigmoid, concatenation,
+row gathering, reductions, and a row-wise product used by the volume
+regularizer.
 
 Ops are module-level functions taking the tape as first argument; pass
 ``tape=None`` for a forward-only evaluation (inference reuses the exact same
@@ -68,6 +73,48 @@ class Tensor:
         return f"<Tensor {tag} shape={tuple(self.data.shape)}{mark}>"
 
 
+class RowSparse:
+    """A gradient that is zero outside some rows of a ``shape`` array:
+    ``values[i]`` is row ``rows[i]``, and ``rows`` is sorted and unique.
+    ``dense()`` gives the full array."""
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows, values, shape):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def dense(self):
+        full = np.zeros(self.shape)
+        full[self.rows] = self.values
+        return full
+
+
+def _accumulate(acc, ig):
+    """``acc + ig`` with the bits of the dense sum. A row-sparse ``ig`` whose
+    rows lie inside a row-sparse ``acc`` is added into ``acc`` in place; two
+    row-sparse gradients otherwise merge over the union of their rows. No
+    value of a row-sparse gradient is -0.0, so adding a zero row is exact."""
+    if acc is None:
+        return ig
+    if not (isinstance(acc, RowSparse) and isinstance(ig, RowSparse)):
+        return _dense(acc) + _dense(ig)
+    pos = np.searchsorted(acc.rows, ig.rows)
+    if np.all(pos < acc.rows.size) and np.array_equal(acc.rows[pos], ig.rows):
+        acc.values[pos] += ig.values
+        return acc
+    rows = np.union1d(acc.rows, ig.rows)
+    values = np.zeros((rows.size,) + acc.values.shape[1:])
+    values[np.searchsorted(rows, acc.rows)] = acc.values
+    values[np.searchsorted(rows, ig.rows)] += ig.values
+    return RowSparse(rows, values, acc.shape)
+
+
+def _dense(g):
+    return g.dense() if isinstance(g, RowSparse) else g
+
+
 class _Entry:
     __slots__ = ("op", "inputs", "out", "bwd")
 
@@ -86,7 +133,9 @@ class Tape:
 
     def backward(self, output):
         """Walk the record in reverse from ``output``, seeded with ones of its
-        shape, and return {param Tensor: gradient array}."""
+        shape, and return {param Tensor: gradient}. A gradient is an array,
+        or a ``RowSparse`` when every contribution to it came from
+        ``gather_rows``; contributions are summed in backward order."""
         grads = {output.uid: np.ones_like(output.data)}
         params = {}
         if output.param:
@@ -95,14 +144,13 @@ class Tape:
             g = grads.pop(entry.out.uid, None)
             if g is None:
                 continue
-            input_grads = entry.bwd(g)
+            input_grads = entry.bwd(_dense(g))
             for t, ig in zip(entry.inputs, input_grads):
                 if ig is None or not t.tracked:
                     continue
                 if t.param and t.uid not in params:
                     params[t.uid] = t
-                acc = grads.get(t.uid)
-                grads[t.uid] = ig if acc is None else acc + ig
+                grads[t.uid] = _accumulate(grads.get(t.uid), ig)
         return {params[uid]: grads[uid] for uid in params if uid in grads}
 
 
@@ -290,9 +338,9 @@ def concat(tape, tensors):
 def gather_rows(tape, a, indices):
     """Rows ``indices`` of ``a`` (entries of its first axis); the indices
     must be 1-D, non-negative and strictly increasing, so each names one row
-    once. The backward pass adds the gradient into those rows of a dense
-    zero gradient of ``a``'s shape: 0.0 + g, the bits of ``np.add.at``
-    (which turns -0.0 into +0.0)."""
+    once. The backward pass returns a ``RowSparse`` gradient of ``a``: the
+    indices, with 0.0 + g as values, the bits ``np.add.at`` writes into a
+    zero array (it turns -0.0 into +0.0)."""
     a = _wrap(a)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1 or np.any(indices[:1] < 0) or np.any(indices[1:] <= indices[:-1]):
@@ -300,9 +348,7 @@ def gather_rows(tape, a, indices):
     shape = a.data.shape
 
     def bwd(g):
-        full = np.zeros(shape)
-        full[indices] += g
-        return (full,)
+        return (RowSparse(indices, 0.0 + g, shape),)
 
     return _record(tape, "gather_rows", (a,), a.data[indices], bwd)
 
@@ -377,9 +423,7 @@ def finite_difference_check(fn, point, step=1e-5):
     if out.data.size != 1:
         raise ContractViolation("finite_difference_check needs a scalar-valued function")
     grads = tape.backward(out)
-    analytic = grads.get(x)
-    if analytic is None:
-        analytic = np.zeros_like(x0)
+    analytic = _dense(grads[x]) if x in grads else np.zeros_like(x0)
 
     def eval_at(arr):
         value = fn(Tape(), Tensor(arr)).data

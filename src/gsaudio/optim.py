@@ -1,12 +1,13 @@
 """First/second-moment adaptive optimizer with bias correction.
 
 Every parameter keeps one step count per row (per entry of its leading
-axis). A step updates only the rows it is given, so a row that received no
-gradient keeps its value, its moments and its step count: the lazy update of
-sparse Adam variants, which the per-point alpha matrix needs because each
-step reaches only the points near the source and the listener. When points
-are added or removed, ``reindex`` applies the same row selection to the
-optimizer state.
+axis). A dense gradient updates every row. A ``RowSparse`` gradient updates
+only its rows, so a row that received no gradient keeps its value, its
+moments and its step count: the lazy update of sparse Adam variants (like
+PyTorch's ``SparseAdam``), which the per-point alpha matrix needs because
+each step reaches only the points near the source and the listener. When
+points are added or removed, ``reindex`` applies the same row selection to
+the optimizer state.
 
 The moment decay rates and the denominator guard are the fixed constants
 ``BETA1``, ``BETA2`` and ``EPS``; only the learning rate is set per
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import RowSparse
 from .errors import ContractViolation
 
 BETA1 = 0.9
@@ -42,12 +44,11 @@ class Adam:
         self.t = [np.zeros(len(p), dtype=np.int64) for p in self.params]
         self._c1 = self._c2 = np.zeros(0)
 
-    def step(self, grads, rows=None):
-        """Apply one update using ``grads``, a {Tensor: ndarray} map as
+    def step(self, grads):
+        """Apply one update using ``grads``, a {Tensor: gradient} map as
         produced by Tape.backward(); parameters without an entry are left
-        untouched, and each one written gets its ``version`` bumped once.
-        ``rows`` (unique indices into the leading axis) limits the update to
-        those rows; by default every row is updated."""
+        untouched, and each one written gets its ``version`` bumped once. A
+        dense gradient updates every row, a ``RowSparse`` one only its rows."""
         for p, m, v, t in zip(self.params, self.m, self.v, self.t):
             g = grads.get(p)
             if g is None:
@@ -56,14 +57,15 @@ class Adam:
                 raise ContractViolation(
                     f"gradient shape {g.shape} does not match parameter shape {p.data.shape}"
                 )
-            if rows is None:
-                t += 1
-                self._update(p.data, m, v, g, t)
-            else:
+            if isinstance(g, RowSparse):
+                rows = g.rows
                 t[rows] += 1
                 data_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
-                self._update(data_rows, m_rows, v_rows, g[rows], t[rows])
+                self._update(data_rows, m_rows, v_rows, g.values, t[rows])
                 p.data[rows], m[rows], v[rows] = data_rows, m_rows, v_rows
+            else:
+                t += 1
+                self._update(p.data, m, v, g, t)
             p.version += 1
 
     def _update(self, data, m, v, g, t):

@@ -135,7 +135,9 @@ def total_loss(tape, l_m, l_v, lambda_a):
 class GradStats:
     """Per-point accumulated alpha-gradient magnitudes and step counts over
     the window since the last point-management pass; theta() is the running
-    mean. A count of 0 means no step of the window reached the point."""
+    mean. A step updates the rows of its row-sparse alpha gradient, the
+    points it reached, with the norms of their values; a count of 0 means
+    no step of the window reached the point."""
 
     def __init__(self, n_points):
         self.grad_sum = np.zeros(n_points)
@@ -289,7 +291,10 @@ class Trainer:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def train_step(self, sample=None):
         """One forward/backward/update on a training perspective; returns the
-        scalar loss. Draws the perspective from the run RNG when not given."""
+        scalar loss. Draws the perspective from the run RNG when not given.
+        The alpha gradient is row-sparse over the union of the two
+        vicinities, so the statistics and the alpha optimizer touch those
+        rows alone and no (N, K) array is made."""
         if sample is None:
             sample = self._train_cache[int(self.rng.integers(len(self._train_cache)))]
         tape = Tape()
@@ -311,9 +316,10 @@ class Trainer:
         loss_t = total_loss(tape, l_m, l_v, self.config.lambda_a)
         loss = float(loss_t.data)
         grads = tape.backward(loss_t)
-        self.stats.update(active, np.linalg.norm(grads[model.alphas][active], axis=1))
+        g = grads[model.alphas]
+        self.stats.update(g.rows, np.linalg.norm(g.values, axis=1))
         self.opt_nets.step(grads)
-        self.opt_alpha.step(grads, active)
+        self.opt_alpha.step(grads)
         return loss
 
     # --- point management ---

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from gsaudio.autodiff import RowSparse
 from gsaudio.checkpoint import load_weights, save_weights
 from gsaudio.model import MODEL_NAME, SceneModel
 from gsaudio.scene import AudioPointSet
@@ -25,6 +26,11 @@ def run_cli(args, cwd=None, env_extra=None):
         capture_output=True, text=True, cwd=cwd, env=env,
     )
     return proc
+
+
+def dense_form(grad):
+    """A gradient from ``Tape.backward`` as a full array."""
+    return grad.dense() if isinstance(grad, RowSparse) else grad
 
 
 def save_model_around(directory, field, masknet):

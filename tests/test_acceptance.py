@@ -107,7 +107,7 @@ def test_criterion_1_gradient_suite():
     for _ in range(32):
         point = int(rng.integers(10))
         coord = int(rng.integers(52))
-        probe(alphas.data[point], grads[alphas][point], coord)
+        probe(alphas.data[point], grads[alphas].dense()[point], coord)
     params = field.params() + masknet.params()
     for _ in range(32):
         p = params[int(rng.integers(len(params)))]

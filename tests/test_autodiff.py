@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gsaudio import autodiff as ad
-from gsaudio.autodiff import Tape, Tensor, finite_difference_check
+from gsaudio.autodiff import RowSparse, Tape, Tensor, finite_difference_check
 from gsaudio.errors import ContractViolation, EvaluationError
+
+from conftest import dense_form
 
 
 def test_square_gradient_at_three():
@@ -121,12 +123,13 @@ def test_row_prod_cofactors_have_the_bits_of_the_ones_like_form():
 
 
 def gather_rows_gradient(indices, upstream, n_rows):
-    """Gradient that ``gather_rows`` sends back to an (n_rows, K) input when
-    the gradient arriving at its output is ``upstream``."""
+    """Dense form of the gradient that ``gather_rows`` sends back to an
+    (n_rows, K) input when the gradient arriving at its output is
+    ``upstream``."""
     x = Tensor(np.ones((n_rows, upstream.shape[1])), param=True)
     tape = Tape()
     rows = ad.gather_rows(tape, x, indices)
-    return tape.backward(ad.total(tape, ad.mul(tape, rows, Tensor(upstream))))[x]
+    return tape.backward(ad.total(tape, ad.mul(tape, rows, Tensor(upstream))))[x].dense()
 
 
 def test_gather_rows_unique_indices_give_add_at_bits():
@@ -144,6 +147,47 @@ def test_gather_rows_unique_indices_give_add_at_bits():
     assigned = np.zeros((10, 4))
     assigned[indices] = upstream
     assert got.tobytes() != assigned.tobytes()
+
+
+@pytest.mark.parametrize("index_sets", [
+    # a train step's order: the last gather on the tape covers the others
+    [[3, 7], [0, 4, 9], [0, 3, 4, 7, 9]],
+    [[1, 2, 5, 6], [2, 3, 6, 8], [0, 1, 8]],
+    [[0, 1], [4, 5], [8, 9]],
+    [[2, 4, 6]],
+], ids=["subset", "overlapping", "disjoint", "single"])
+@pytest.mark.parametrize("dense_too", [False, True], ids=["sparse", "with-dense"])
+def test_merged_row_sparse_gradient_has_the_dense_sum_bits(index_sets, dense_too):
+    rng = np.random.default_rng(len(index_sets[0]) + 7 * len(index_sets))
+    x = Tensor(rng.standard_normal((10, 4)), param=True)
+    tape = Tape()
+    terms, upstreams = [], []
+    if dense_too:
+        w = rng.standard_normal((10, 4))
+        w[0, 0] = w[2, 1] = -0.0
+        terms.append(ad.total(tape, ad.mul(tape, x, Tensor(w))))
+    for idx in index_sets:
+        up = rng.standard_normal((len(idx), 4))
+        up[0, 1] = up[-1, 3] = -0.0
+        upstreams.append((np.array(idx), up))
+        terms.append(ad.total(tape, ad.mul(tape, ad.gather_rows(tape, x, idx), Tensor(up))))
+    out = terms[0]
+    for term in terms[1:]:
+        out = ad.add(tape, out, term)
+    got = tape.backward(out)[x]
+    # the dense composition: one zero gradient per gather with the rows
+    # added in, summed in backward order, the reverse of the tape's
+    want = None
+    for idx, up in reversed(upstreams):
+        full = np.zeros((10, 4))
+        full[idx] += up
+        want = full if want is None else want + full
+    if dense_too:
+        want = want + w
+    assert dense_form(got).tobytes() == want.tobytes()
+    if not dense_too:
+        assert isinstance(got, RowSparse)
+        assert np.array_equal(got.rows, np.unique(np.concatenate(index_sets)))
 
 
 def test_gather_rows_forward_and_len():

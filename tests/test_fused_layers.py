@@ -23,6 +23,8 @@ from gsaudio.model import SceneModel
 from gsaudio.scene import Pose, init_audio_points, synthetic_cloud
 from gsaudio.training import loss_reconstruction, loss_volume, total_loss
 
+from conftest import dense_form
+
 OUTPUT_ATOL = 1e-15
 GRAD_RTOL = 1e-13
 
@@ -147,7 +149,7 @@ def run(model, step, pose, mono):
     tape, loss, outputs = step(model, pose, mono)
     grads = tape.backward(loss)
     params = model.network_params() + [model.alphas]
-    outputs.update({f"grad {p.name}": grads[p] for p in params if p in grads})
+    outputs.update({f"grad {p.name}": dense_form(grads[p]) for p in params if p in grads})
     return outputs, [e.op for e in tape.entries]
 
 

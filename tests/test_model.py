@@ -314,4 +314,4 @@ def test_tape_context_after_a_cached_render_reaches_the_source_rows():
     source_only = np.setdiff1d(ctx.source_indices, ctx.listener_indices)
     assert source_only.size > 0
     grads = tape.backward(ctx.tensor)
-    assert np.all(np.any(grads[model.alphas][source_only] != 0.0, axis=1))
+    assert np.all(np.any(grads[model.alphas].dense()[source_only] != 0.0, axis=1))

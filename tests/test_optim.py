@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from gsaudio.autodiff import Tensor
+from gsaudio.autodiff import RowSparse, Tensor
 from gsaudio.errors import ContractViolation
 from gsaudio.optim import BETA1, BETA2, EPS, Adam
 
 
 def make_param(value):
     return Tensor(np.asarray(value, dtype=np.float64), param=True)
+
+
+def row_sparse(g, rows):
+    """Rows ``rows`` of the dense gradient ``g`` as a row-sparse gradient."""
+    return RowSparse(rows, g[rows], g.shape)
 
 
 def test_first_step_magnitude():
@@ -100,7 +105,7 @@ class RowCase:
             active = np.sort(self.rng.choice(n, size=int(self.rng.integers(1, n + 1)),
                                              replace=False))
             g = self.rng.standard_normal(self.p.data.shape)
-            self.opt.step({self.p: g}, active)
+            self.opt.step({self.p: row_sparse(g, active)})
             for i in active:
                 per_tensor_step(self.rows[i], g[i : i + 1], self.lr)
             self.check()
@@ -145,7 +150,7 @@ def test_in_place_step_is_byte_equal_to_out_of_place_formula(row_steps):
         grads = {p: rng.standard_normal(p.data.shape) for p in params}
         rows = (np.sort(rng.choice(9, size=int(rng.integers(1, 10)), replace=False))
                 if row_steps else None)
-        opt.step(grads, rows)
+        opt.step(grads if rows is None else {p: row_sparse(g, rows) for p, g in grads.items()})
         for p, state in zip(params, ref):
             out_of_place_step(opt, *state, grads[p], slice(None) if rows is None else rows)
     for p, (data, m, v, t), (m_got, v_got, t_got) in zip(params, ref, opt.state_arrays()):
@@ -174,7 +179,7 @@ def test_reindex_appends_and_drops_rows():
 def test_rows_outside_the_step_are_untouched():
     p = make_param(np.ones((4, 2)))
     opt = Adam([p], lr=0.1)
-    opt.step({p: np.ones((4, 2))}, np.array([1, 3]))
+    opt.step({p: row_sparse(np.ones((4, 2)), np.array([1, 3]))})
     [(m, v, t)] = opt.state_arrays()
     assert np.array_equal(t, [0, 1, 0, 1])
     assert np.array_equal(p.data[[0, 2]], np.ones((2, 2)))
@@ -208,7 +213,8 @@ def test_step_bumps_version_once_per_written_parameter():
     p, q, idle = make_param(np.zeros((3, 2))), make_param([0.5]), make_param([2.0])
     opt = Adam([p, q, idle], lr=0.1)
     for i in range(1, 4):
-        opt.step({p: np.ones((3, 2)), q: np.ones(1)}, rows=None if i < 3 else np.array([0]))
+        grads = {p: np.ones((3, 2)), q: np.ones(1)}
+        opt.step(grads if i < 3 else {t: row_sparse(g, np.array([0])) for t, g in grads.items()})
         assert (p.version, q.version) == (i, i)
     # a parameter without a gradient entry is not written and keeps its version
     assert idle.version == 0

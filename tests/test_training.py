@@ -22,7 +22,7 @@ from gsaudio.training import (GradStats, Trainer, _BinauralSample,
                               loss_reconstruction_binned, loss_volume, mixture_magnitude,
                               total_loss)
 
-from conftest import FailingWrite
+from conftest import FailingWrite, dense_form
 
 ROOM = ShoeboxRoom([6.0, 4.0, 3.0], 0.7)
 
@@ -180,7 +180,7 @@ def test_train_step_loss_matches_finite_differences():
     assert set(grads) == set(params)
     for p in params:
         direction = rng.standard_normal(p.data.shape)
-        analytic = float(np.sum(grads[p] * direction))
+        analytic = float(np.sum(dense_form(grads[p]) * direction))
         keep = p.data
         best = np.inf
         for h in (1e-5, 1e-6, 1e-7):  # a step across a relu kink recovers at a smaller one
@@ -432,11 +432,11 @@ def test_points_outside_vicinity_get_no_gradient(small_dataset):
     active = np.union1d(ctx.listener_indices, ctx.source_indices)
     outside = np.setdiff1d(np.arange(model.point_count), active)
     assert outside.size > 0
-    g = grads[model.alphas]
+    g = grads[model.alphas].dense()
     assert np.all(g[outside] == 0.0)
     assert np.all(np.any(g[active] != 0.0, axis=1))
     before = model.alphas.data.copy()
-    trainer.opt_alpha.step(grads, active)
+    trainer.opt_alpha.step(grads)
     [(m, v, t)] = trainer.opt_alpha.state_arrays()
     assert np.array_equal(model.alphas.data[outside], before[outside])
     assert np.all(m[outside] == 0.0) and np.all(v[outside] == 0.0)
@@ -456,6 +456,32 @@ def test_binaural_cache_holds_no_frame_grid(small_dataset):
         assert sample.cells % n_bins == 0 and sample.cells > n_bins
 
 
+def test_train_step_backward_peaks_below_one_alpha_matrix(small_dataset, monkeypatch):
+    # the alpha gradient holds the reached rows only, so the backward of a
+    # step allocates less than one (N, K) array. What it does allocate grows
+    # with the two vicinities (15 % of N each): the field's backward over
+    # them and the reached alpha rows, about 0.83 of the (N, K) array, plus
+    # about 1 MB of network gradients. At N = 8192 that is 1.15 arrays, at
+    # N = 32768 0.90, so any dense (N, K) gradient shows.
+    trainer = make_trainer(small_dataset, points=32768)
+    block = trainer.model.alphas.data.nbytes
+    assert block == 32768 * 52 * 8
+    peaks = []
+    backward = Tape.backward
+
+    def traced(tape, output):
+        tracemalloc.start()
+        try:
+            return backward(tape, output)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(Tape, "backward", traced)
+    trainer.train_step(trainer._train_cache[0])
+    assert len(peaks) == 1 and peaks[0] < block, (peaks, block)
+
+
 def test_gradient_statistics_are_per_point_gradient_norms(small_dataset, monkeypatch):
     trainer = make_trainer(small_dataset)
     captured = {}
@@ -467,7 +493,7 @@ def test_gradient_statistics_are_per_point_gradient_norms(small_dataset, monkeyp
 
     monkeypatch.setattr(Tape, "backward", spy)
     trainer.train_step(trainer._train_cache[0])
-    g = captured[trainer.model.alphas]
+    g = captured[trainer.model.alphas].dense()
     # the per-row loop is the reference; the vectorised norm sums in another order
     want = np.array([np.linalg.norm(row) for row in g])
     reached = trainer.stats.counts == 1
