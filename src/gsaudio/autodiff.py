@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import ContractViolation, EvaluationError
 
-_uid_counter = itertools.count()
-
 
 class Tensor:
     """Dense float64 array plus the bookkeeping the tape needs.
@@ -47,7 +45,7 @@ class Tensor:
     must bump it too.
     """
 
-    __slots__ = ("data", "param", "name", "uid", "tracked", "version")
+    __slots__ = ("data", "param", "name", "tracked", "version")
 
     def __init__(self, data, param=False, name=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -56,7 +54,6 @@ class Tensor:
         self.data = arr
         self.param = bool(param)
         self.name = name
-        self.uid = next(_uid_counter)
         self.tracked = self.param
         self.version = 0
 
@@ -68,7 +65,7 @@ class Tensor:
         return len(self.data)
 
     def __repr__(self):
-        tag = self.name if self.name else f"t{self.uid}"
+        tag = self.name if self.name else f"t{id(self)}"
         mark = " param" if self.param else ""
         return f"<Tensor {tag} shape={tuple(self.data.shape)}{mark}>"
 
@@ -135,23 +132,22 @@ class Tape:
         """Walk the record in reverse from ``output``, seeded with ones of its
         shape, and return {param Tensor: gradient}. A gradient is an array,
         or a ``RowSparse`` when every contribution to it came from
-        ``gather_rows``; contributions are summed in backward order."""
-        grads = {output.uid: np.ones_like(output.data)}
-        params = {}
-        if output.param:
-            params[output.uid] = output
+        ``gather_rows``; contributions are summed in backward order. Both
+        dicts are keyed by the tensors themselves (identity hash)."""
+        grads = {output: np.ones_like(output.data)}
+        params = {output: None} if output.param else {}
         for entry in reversed(self.entries):
-            g = grads.pop(entry.out.uid, None)
+            g = grads.pop(entry.out, None)
             if g is None:
                 continue
             input_grads = entry.bwd(_dense(g))
             for t, ig in zip(entry.inputs, input_grads):
                 if ig is None or not t.tracked:
                     continue
-                if t.param and t.uid not in params:
-                    params[t.uid] = t
-                grads[t.uid] = _accumulate(grads.get(t.uid), ig)
-        return {params[uid]: grads[uid] for uid in params if uid in grads}
+                if t.param:
+                    params[t] = None
+                grads[t] = _accumulate(grads.get(t), ig)
+        return {t: grads[t] for t in params if t in grads}
 
 
 def _wrap(x):
@@ -354,6 +350,10 @@ def gather_rows(tape, a, indices):
 
 
 def mean(tape, a, axis=None, keepdims=False):
+    """Mean over ``axis`` (every element when None). Over an axis, the
+    backward hands ``a`` a read-only broadcast view of one row of the
+    gradient, not a full-size copy; no backward writes into a gradient it
+    receives."""
     a = _wrap(a)
     shape = a.data.shape
     count = a.data.size if axis is None else shape[axis]
@@ -362,7 +362,7 @@ def mean(tape, a, axis=None, keepdims=False):
         if axis is None:
             return (np.full(shape, g / count),)
         ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge / count, shape).copy(),)
+        return (np.broadcast_to(ge / count, shape),)
 
     return _record(tape, "mean", (a,), a.data.mean(axis=axis, keepdims=keepdims), bwd)
 

@@ -96,8 +96,8 @@ def build_model(dataset, cfg, alpha_selection=None, percentile=None):
         lo, hi = dataset.bounds()
         cloud = synthetic_cloud(lo, hi, cfg["init_points"], build_rng)
     points = init_audio_points(cloud, selection)
-    field = FieldNetwork(alpha_dim=alpha_width(selection), rng=build_rng, seed=cfg["seed"])
-    masknet = MaskNetwork(mode=cfg["mode"], rng=build_rng, seed=cfg["seed"])
+    field = FieldNetwork(alpha_dim=alpha_width(selection), rng=build_rng)
+    masknet = MaskNetwork(mode=cfg["mode"], rng=build_rng)
     lo, hi = dataset.bounds()
     return SceneModel(
         points=points, field=field, masknet=masknet, source=dataset.source,

@@ -82,9 +82,6 @@ class SceneModel:
     def point_count(self):
         return self.positions.shape[0]
 
-    def point_set(self) -> AudioPointSet:
-        return AudioPointSet(positions=self.positions.copy(), alpha=self.alphas.data.copy())
-
     def add_points(self, positions, alphas):
         """Append points (M, 3) with their alpha rows (M, K). Both re-indexes
         keep the alpha tensor itself, so an optimizer holding it follows."""
@@ -130,9 +127,13 @@ class SceneModel:
         return AcousticMasks(mixture=mixture.data[:, 0], difference=difference.data[:, 0])
 
     def render(self, pose: Pose, mono: Waveform):
-        """Binauralize ``mono`` for ``pose``; returns (left, right)."""
+        """Binauralize ``mono`` for ``pose``; returns (left, right). A clip at
+        another sample rate than the model's is a ``ConfigError``."""
         if self.mode != "binaural":
             raise ConfigError("render requires a binaural-mode model")
+        if mono.sample_rate != self.sample_rate:
+            raise ConfigError(f"clip sample rate {mono.sample_rate} Hz differs from the "
+                              f"model's {self.sample_rate} Hz")
         return binauralize(mono, self.masks(pose), self.window, self.hop)
 
     def rir_tensor(self, tape, pose: Pose, times01):

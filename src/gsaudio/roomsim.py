@@ -193,13 +193,3 @@ def ear_impulse_responses(room: ShoeboxRoom, source, pose: Pose, max_order=3,
     return tuple(Waveform(samples=scale * ir.samples, sample_rate=sample_rate)
                  for ir, scale in _ear_responses(room, source, pose, max_order,
                                                  sample_rate, ir_duration))
-
-
-def sabine_t60(room: ShoeboxRoom):
-    """Sabine estimate 0.161 V / sum(a_i S_i); handy for picking test rooms."""
-    lx, ly, lz = room.dimensions
-    areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])
-    absorbing = float(np.dot(room.absorption, areas))
-    if absorbing <= 0:
-        raise ConfigError("perfectly reflective room has unbounded decay")
-    return 0.161 * float(np.prod(room.dimensions)) / absorbing

@@ -82,56 +82,44 @@ class AudioPointSet:
         return self.alpha.shape[1]
 
 
+def _finite_pose_field(name, value):
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ContractViolation(f"pose {name} must be finite, got {arr.tolist()}")
+    return arr
+
+
 @dataclass
 class Pose:
+    """A listener: position, unit facing direction and, when known, yaw in
+    radians. A non-finite position, direction or yaw is a
+    ``ContractViolation`` naming the field."""
+
     position: np.ndarray
     direction: np.ndarray
     yaw: float | None = None
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
-        direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
+        self.position = _finite_pose_field("position", self.position).reshape(3)
+        direction = _finite_pose_field("direction", self.direction).reshape(3)
         norm = float(np.linalg.norm(direction))
         if norm < 1e-12:
             raise ContractViolation("pose direction must be non-zero")
         self.direction = direction / norm
         if self.yaw is not None:
-            self.yaw = float(self.yaw)
+            self.yaw = float(_finite_pose_field("yaw", self.yaw))
 
     @classmethod
     def from_yaw(cls, position, yaw):
+        yaw = float(_finite_pose_field("yaw", yaw))
         return cls(position=np.asarray(position, dtype=np.float64),
-                   direction=np.array([math.cos(yaw), math.sin(yaw), 0.0]),
-                   yaw=float(yaw))
+                   direction=np.array([math.cos(yaw), math.sin(yaw), 0.0]), yaw=yaw)
 
     def heading(self):
         """Yaw angle in radians; derived from the direction when not stored."""
         if self.yaw is not None:
             return self.yaw
         return math.atan2(self.direction[1], self.direction[0])
-
-
-def quaternion_rotation(q):
-    """3x3 rotation matrix from a (w, x, y, z) quaternion (normalized here)."""
-    q = np.asarray(q, dtype=np.float64).reshape(4)
-    n = float(np.linalg.norm(q))
-    if n < 1e-12:
-        raise DataError("zero quaternion")
-    w, x, y, z = q / n
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def covariance_from_gaussian(quaternion, log_scale):
-    """Sigma = R S S^T R^T with S = diag(exp(log_scale))."""
-    rot = quaternion_rotation(quaternion)
-    s2 = np.exp(2.0 * np.asarray(log_scale, dtype=np.float64).reshape(3))
-    return rot @ np.diag(s2) @ rot.T
 
 
 def project_covariance(sigma, view, jacobian):
@@ -198,7 +186,7 @@ def vicinity(positions, center, percentile):
     return knn(positions, center, k)
 
 
-def outlier_indices(positions, min_neighbors=8, radius=0.1):
+def outlier_indices(positions, min_neighbors, radius):
     """Ascending indices of the points of ``positions`` (N, 3) with fewer
     than ``min_neighbors`` other points strictly within ``radius``; raises
     ContractViolation when that is every point."""
@@ -211,7 +199,7 @@ def outlier_indices(positions, min_neighbors=8, radius=0.1):
     return removed
 
 
-def prune_outliers(points: AudioPointSet, min_neighbors=8, radius=0.1):
+def prune_outliers(points: AudioPointSet, min_neighbors, radius):
     """Drop points with fewer than ``min_neighbors`` other points strictly
     within ``radius``. Returns (retained set, removed indices)."""
     positions = points.positions

@@ -244,6 +244,9 @@ class Trainer:
             ours, theirs = getattr(config, name), getattr(model, name)
             if ours != theirs:
                 raise ConfigError(f"config {name} {ours} differs from the model's {theirs}")
+        if dataset.sample_rate != model.sample_rate:
+            raise ConfigError(f"dataset sample rate {dataset.sample_rate} Hz differs from the "
+                              f"model's {model.sample_rate} Hz")
         self.model = model
         self.dataset = dataset
         self.config = config
@@ -364,11 +367,12 @@ class Trainer:
 
     # --- evaluation ---
 
-    def evaluate(self, split="val"):
+    def evaluate(self):
+        """Metrics of the model on the validation split."""
         if self.model.mode == "binaural":
-            return evaluate_binaural(self.model, self.dataset, split,
+            return evaluate_binaural(self.model, self.dataset, "val",
                                      self.model.window, self.model.hop)
-        return evaluate_rir(self.model, self.dataset, split)
+        return evaluate_rir(self.model, self.dataset, "val")
 
     # --- full loop ---
 
@@ -384,7 +388,7 @@ class Trainer:
         handle = open(metrics_path, "a" if resuming else "w", encoding="utf-8")
 
         def emit(iteration):
-            metrics = self.evaluate("val")
+            metrics = self.evaluate()
             window_loss = (float(np.mean(self._window_losses))
                            if self._window_losses else None)
             record = {
@@ -406,7 +410,7 @@ class Trainer:
                 record = emit(0)
                 value = record.get(mode_metric)
                 self.best_value = float(value) if value is not None else float(np.inf)
-                self._save_checkpoint(best_dir)
+                save_train_state(best_dir, self)
             for it in range(self.iteration + 1, config.iterations + 1):
                 self.iteration = it
                 if config.densify_interval and it % config.densify_interval == 0:
@@ -425,8 +429,8 @@ class Trainer:
                     value = record.get(mode_metric)
                     if value is not None and value < self.best_value:
                         self.best_value = float(value)
-                        self._save_checkpoint(best_dir)
-            self._save_checkpoint(final_dir)
+                        save_train_state(best_dir, self)
+            save_train_state(final_dir, self)
         except EvaluationError as exc:
             self._dump_diagnostic(out_dir, str(exc))
             raise
@@ -439,9 +443,6 @@ class Trainer:
         return TrainResult(loss_trace=self.loss_trace, point_counts=self.point_counts,
                            eval_records=eval_records, metrics_path=metrics_path,
                            best_dir=best_dir, final_dir=final_dir)
-
-    def _save_checkpoint(self, directory):
-        save_train_state(directory, self)
 
     def _dump_diagnostic(self, out_dir, message):
         path = os.path.join(out_dir, "diagnostic.json")

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -102,6 +103,22 @@ def test_primitive_gradients_exact(name):
     point[np.abs(point) < 0.05] += 0.1
     err = finite_difference_check(build, point, step=1e-6)
     assert err < 1e-6, f"{name}: {err}"
+
+
+def test_mean_over_an_axis_backward_makes_no_input_sized_array():
+    # the gradient is a read-only broadcast of one row, not a copy of x's size
+    x = Tensor(np.random.default_rng(4).standard_normal((16384, 64)), param=True)
+    tape = Tape()
+    out = ad.mean(tape, x, axis=0, keepdims=True)
+    tracemalloc.start()
+    try:
+        grads = tape.backward(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.nbytes / 8
+    assert np.array_equal(grads[x], np.full(x.shape, 1.0 / 16384))
+    assert not grads[x].flags.writeable
 
 
 def test_row_prod_cofactors_have_the_bits_of_the_ones_like_form():

@@ -643,3 +643,53 @@ def test_render_loads_no_training_module(tiny_run, tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {"code": 0, "loaded": []}
     assert (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("pose,field", [("2,2,1.5,inf", "yaw"), ("nan,2,1.5,0.3", "position")])
+def test_render_with_a_non_finite_pose_exits_1(tiny_run, tmp_path, capsys, pose, field):
+    from gsaudio import cli
+
+    mono_path = tmp_path / "probe.wav"
+    write_wav(mono_path, np.zeros(4096), 22050)
+    out_path = tmp_path / "out.wav"
+    capsys.readouterr()
+    code = cli.main(["render", "--checkpoint", str(tiny_run / "final"), "--pose", pose,
+                     "--mono", str(mono_path), "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"pose {field} must be finite" in err
+    assert not out_path.exists()
+
+
+def test_render_of_a_clip_at_another_sample_rate_exits_1(tiny_run, tmp_path, capsys):
+    from gsaudio import cli
+
+    mono_path = tmp_path / "probe.wav"
+    write_wav(mono_path, np.random.default_rng(3).standard_normal(4410) * 0.2, 44100)
+    out_path = tmp_path / "out.wav"
+    capsys.readouterr()
+    code = cli.main(["render", "--checkpoint", str(tiny_run / "final"), "--pose",
+                     "3.0,2.0,1.5,0.5", "--mono", str(mono_path), "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "44100" in err and "22050" in err
+    assert not out_path.exists()
+
+
+def test_eval_on_a_dataset_at_another_sample_rate_exits_1(tiny_run, tmp_path, capsys):
+    from gsaudio import cli
+
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"sample_rate": 44100, "duration": 0.7}))
+    data = tmp_path / "data44"
+    assert cli.main(["gen-data", "--config", str(config), "--out", str(data), "--n", "5",
+                     "--seed", "5"]) == 0
+    out_path = tmp_path / "eval.json"
+    capsys.readouterr()
+    code = cli.main(["eval", "--checkpoint", str(tiny_run / "final"), "--dataset", str(data),
+                     "--split", "val", "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "44100" in err and "22050" in err
+    assert not out_path.exists()

@@ -14,7 +14,7 @@ from gsaudio.errors import ConfigError, DataError
 from gsaudio.field import FieldNetwork, pooled_context
 from gsaudio.model import SceneModel
 from gsaudio.roomsim import ShoeboxRoom
-from gsaudio.scene import AudioPointSet, Pose, synthetic_cloud, init_audio_points
+from gsaudio.scene import Pose, synthetic_cloud, init_audio_points
 from gsaudio.training import Trainer
 
 from conftest import FailingWrite
@@ -153,14 +153,6 @@ def test_predict_ir_rejects_binaural_mode():
     model = make_model(mode="binaural", seed=6)
     with pytest.raises(ConfigError):
         model.predict_ir(Pose.from_yaw([1, 1, 1], 0.0), 100)
-
-
-def test_point_set_round_trips_alpha():
-    model = make_model(seed=7, n_points=12)
-    pts = model.point_set()
-    assert isinstance(pts, AudioPointSet)
-    assert np.array_equal(pts.alpha, model.alphas.data)
-    assert np.array_equal(pts.positions, model.positions)
 
 
 def test_failed_points_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -5,8 +5,7 @@ from gsaudio.dsp import Waveform
 from gsaudio.errors import ConfigError, GeometryError
 from gsaudio.irmetrics import estimate_t60
 from gsaudio.roomsim import (ShoeboxRoom, binaural_render, ear_positions,
-                             head_shadow_gains, image_source_rir, image_sources,
-                             sabine_t60)
+                             head_shadow_gains, image_source_rir, image_sources)
 from gsaudio.scene import Pose
 
 SR = 22050
@@ -169,7 +168,3 @@ def test_render_output_matches_mono_length():
     left, right = binaural_render(room, [1.5, 2.0, 1.5], pose, mono, 2, 0.3)
     assert len(left) == 5000 and len(right) == 5000
 
-
-def test_sabine_estimate():
-    room = ShoeboxRoom([6.0, 4.0, 3.0], 0.3)
-    assert sabine_t60(room) == pytest.approx(0.161 * 72.0 / (0.3 * 108.0))

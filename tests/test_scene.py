@@ -11,10 +11,8 @@ from gsaudio.field import FieldNetwork
 from gsaudio.kdtree import brute_force_count_within, brute_force_knn
 from gsaudio.model import SceneModel
 from gsaudio.scene import (AudioPointSet, Pose, alpha_width, outlier_indices,
-                           covariance_from_gaussian, init_audio_points,
-                           load_gaussian_cloud, project_covariance, prune_outliers,
-                           quaternion_rotation, save_gaussian_cloud, synthetic_cloud,
-                           vicinity)
+                           init_audio_points, load_gaussian_cloud, project_covariance,
+                           prune_outliers, save_gaussian_cloud, synthetic_cloud, vicinity)
 
 
 @pytest.fixture
@@ -89,7 +87,10 @@ def test_project_diag_with_selector():
 
 def test_project_isotropic_rotation_invariant():
     sigma = 0.7 * np.eye(3)
-    rot = quaternion_rotation([0.9, 0.1, -0.3, 0.2])
+    c, s = math.cos(0.8), math.sin(0.8)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    rot = rz @ rx
     selector = np.array([[1.0, 0, 0], [0, 1.0, 0]])
     out = project_covariance(sigma, rot, selector)
     assert np.allclose(out, 0.7 * np.eye(2), atol=1e-12)
@@ -138,12 +139,6 @@ def test_asymmetric_sigma_rejected():
     # a non-finite jacobian is rejected the same way
     with pytest.raises(ContractViolation):
         project_covariance(np.eye(3), np.eye(3), np.full((2, 3), np.nan))
-
-
-def test_covariance_from_gaussian_psd():
-    cov = covariance_from_gaussian([0.7, 0.1, 0.2, -0.3], np.log([0.1, 0.2, 0.05]))
-    assert np.allclose(cov, cov.T)
-    assert np.min(np.linalg.eigvalsh(cov)) > 0
 
 
 # --- alpha initialization ---
@@ -365,6 +360,19 @@ def test_pose_from_yaw():
 def test_zero_direction_rejected():
     with pytest.raises(ContractViolation):
         Pose(position=np.zeros(3), direction=np.zeros(3))
+
+
+@pytest.mark.parametrize("field,make", [
+    ("position", lambda v: Pose(position=[v, 2.0, 1.5], direction=[1.0, 0.0, 0.0])),
+    ("direction", lambda v: Pose(position=np.zeros(3), direction=[1.0, v, 0.0])),
+    ("yaw", lambda v: Pose(position=np.zeros(3), direction=[1.0, 0.0, 0.0], yaw=v)),
+    ("position", lambda v: Pose.from_yaw([1.0, v, 1.5], 0.3)),
+    ("yaw", lambda v: Pose.from_yaw([1.0, 2.0, 1.5], v)),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_pose_is_rejected_by_field(field, make, value):
+    with pytest.raises(ContractViolation, match=f"pose {field} must be finite"):
+        make(value)
 
 
 def test_audio_point_io_memory_is_bounded(tmp_path):

@@ -20,7 +20,7 @@ from gsaudio.roomsim import ShoeboxRoom
 from gsaudio.training import (GradStats, Trainer, _BinauralSample,
                               codec_baselines, evaluate_binaural, loss_reconstruction,
                               loss_reconstruction_binned, loss_volume, mixture_magnitude,
-                              total_loss)
+                              save_train_state, total_loss)
 
 from conftest import FailingWrite, dense_form
 
@@ -460,9 +460,9 @@ def test_train_step_backward_peaks_below_one_alpha_matrix(small_dataset, monkeyp
     # the alpha gradient holds the reached rows only, so the backward of a
     # step allocates less than one (N, K) array. What it does allocate grows
     # with the two vicinities (15 % of N each): the field's backward over
-    # them and the reached alpha rows, about 0.83 of the (N, K) array, plus
-    # about 1 MB of network gradients. At N = 8192 that is 1.15 arrays, at
-    # N = 32768 0.90, so any dense (N, K) gradient shows.
+    # them and the reached alpha rows, about 0.76 of the (N, K) array, plus
+    # about 1 MB of network gradients. At N = 8192 that is 1.07 arrays, at
+    # N = 32768 0.83, so any dense (N, K) gradient shows.
     trainer = make_trainer(small_dataset, points=32768)
     block = trainer.model.alphas.data.nbytes
     assert block == 32768 * 52 * 8
@@ -569,6 +569,16 @@ def test_window_and_hop_must_match_the_model(small_dataset, name, value):
         Trainer(build_model(small_dataset, cfg), small_dataset, tcfg)
 
 
+def test_dataset_at_another_sample_rate_is_config_error(small_dataset, tmp_path):
+    synth_dataset(tmp_path / "d44", ROOM, n_samples=5, seed=3, sample_rate=44100,
+                  duration=0.7)
+    other = Dataset.load(tmp_path / "d44")
+    cfg = load_run_config(None, {"seed": 0, "init_points": 64})
+    model = build_model(small_dataset, cfg)
+    with pytest.raises(ConfigError, match="44100 Hz differs from the model's 22050 Hz"):
+        Trainer(model, other, train_config_from(cfg, iterations=10))
+
+
 # --- full runs ---
 
 def test_run_training_metrics_log_shape(small_dataset, tmp_path):
@@ -654,10 +664,10 @@ def test_failed_evaluation_writes_a_diagnostic(small_dataset, tmp_path, monkeypa
     trainer = make_trainer(small_dataset, iterations=20, eval_interval=10)
     evaluate = trainer.evaluate
 
-    def failing(split="val"):
+    def failing():
         if trainer.iteration == 10:
             raise EvaluationError("non-finite output of dense on inputs of shape (1, 2)")
-        return evaluate(split)
+        return evaluate()
 
     monkeypatch.setattr(trainer, "evaluate", failing)
     with pytest.raises(EvaluationError):
@@ -678,7 +688,7 @@ def test_train_state_layout_is_pinned(small_dataset, tmp_path):
     trainer.stats.grad_sum[:2] = 1.0
     assert trainer.densify() == 2
     trainer.train_step()
-    trainer._save_checkpoint(str(tmp_path / "ckpt"))
+    save_train_state(str(tmp_path / "ckpt"), trainer)
     n, k = trainer.model.alphas.shape
     nets = trainer.model.network_params()
     want = [
@@ -712,7 +722,7 @@ def test_train_state_layout_is_pinned(small_dataset, tmp_path):
 def test_resume_reads_the_checkpoint_once(small_dataset, tmp_path, monkeypatch):
     trainer = make_trainer(small_dataset)
     trainer.train_step()
-    trainer._save_checkpoint(str(tmp_path))
+    save_train_state(str(tmp_path), trainer)
     reads = []
 
     def counting_load_weights(*args, **kwargs):
@@ -731,7 +741,7 @@ def test_checkpoint_with_the_old_pruning_keys_resumes(small_dataset, tmp_path):
     # resume compares only the current schedule's keys
     trainer = make_trainer(small_dataset)
     trainer.train_step()
-    trainer._save_checkpoint(str(tmp_path))
+    save_train_state(str(tmp_path), trainer)
     path = tmp_path / "model.bin"
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
@@ -774,7 +784,7 @@ def test_failed_checkpoint_save_keeps_the_previous_one(small_dataset, tmp_path, 
         part.train_step()
     inject(monkeypatch)
     with pytest.raises(OSError):
-        part._save_checkpoint(final)
+        save_train_state(final, part)
     monkeypatch.undo()
     assert os.listdir(final) == ["model.bin"]  # no model.bin.tmp left beside it
     resumed = Trainer.resume(final, small_dataset,
