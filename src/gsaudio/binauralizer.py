@@ -98,9 +98,9 @@ def _encoding_column_scale(falloff):
 
 
 class MaskNetwork:
-    """The binauralizer network B; ``mode`` is "binaural" or "rir". It reads
-    a (1, CONTEXT_DIM) context and ``ENCODING_LEVELS`` sinusoid levels per
-    encoded coordinate; only the mode sets the width.
+    """The binauralizer network B, weights drawn from the generator ``rng``;
+    ``mode`` ("binaural" or "rir") alone sets the width. Its context is
+    (1, CONTEXT_DIM); each encoded coordinate has ``ENCODING_LEVELS`` levels.
 
     The first layers take column blocks (``ad.dense``). Per row vary only
     the frequency encoding (MLP-1, binaural), the features (MLP-2,
@@ -108,13 +108,11 @@ class MaskNetwork:
     and direction blocks are one row per request, multiplied once.
     """
 
-    def __init__(self, mode="binaural", rng=None, seed=None):
+    def __init__(self, mode, rng):
         if mode not in SETTINGS["mode"].choices:
             raise ConfigError(f"unknown mode {mode!r}")
         self.mode = mode
         self.width = WIDTH_BINAURAL if mode == "binaural" else WIDTH_RIR
-        if rng is None:
-            rng = np.random.default_rng(seed)
         levels = ENCODING_LEVELS
         pos_enc = 2 * 2 * levels  # (x, y)
         scalar_enc = 2 * levels  # f/F or t/T

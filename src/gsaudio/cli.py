@@ -90,15 +90,14 @@ def build_model(dataset, cfg, alpha_selection=None, percentile=None):
     owns the run config's mode, vicinity percentile, window and hop."""
     selection = tuple(alpha_selection if alpha_selection is not None else cfg["alpha_init"])
     build_rng = np.random.default_rng([cfg["seed"], 17])
+    lo, hi = dataset.bounds()
     if cfg["point_cloud"]:
         cloud = load_gaussian_cloud(cfg["point_cloud"])
     else:
-        lo, hi = dataset.bounds()
         cloud = synthetic_cloud(lo, hi, cfg["init_points"], build_rng)
     points = init_audio_points(cloud, selection)
     field = FieldNetwork(alpha_dim=alpha_width(selection), rng=build_rng)
     masknet = MaskNetwork(mode=cfg["mode"], rng=build_rng)
-    lo, hi = dataset.bounds()
     return SceneModel(
         points=points, field=field, masknet=masknet, source=dataset.source,
         bounds=(lo, hi),
@@ -129,7 +128,7 @@ def cmd_gen_data(cfg):
         out_dir=out, room=_room_from(cfg), n_samples=cfg["n_samples"], signal=cfg["signal"],
         seed=cfg["seed"], sample_rate=cfg["sample_rate"], duration=cfg["duration"],
         max_order=cfg["max_order"], ir_duration=cfg["ir_duration"],
-        source=None if cfg["source"] is None else np.asarray(cfg["source"], dtype=np.float64),
+        source=cfg["source"],
         with_rir=with_rir, min_source_distance=cfg["min_source_distance"],
     )
     splits = [r["split"] for r in manifest["samples"]]

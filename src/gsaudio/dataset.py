@@ -20,7 +20,8 @@ import numpy as np
 
 from .dsp import SAMPLE_RATE, Waveform
 from .errors import ConfigError, DataError, GeometryError, SchemaError
-from .roomsim import HEAD_RADIUS, ShoeboxRoom, binaural_render, ear_impulse_responses
+from .roomsim import (HEAD_RADIUS, SPEED_OF_SOUND, ShoeboxRoom, binaural_render,
+                      ear_impulse_responses)
 from .scene import Pose
 from .settings import SETTINGS
 from .wavio import read_wav, write_wav
@@ -41,7 +42,6 @@ RECORD_FIELDS = ("id", "listener", "yaw", "split", "mono", "binaural")
 class RenderedSample:
     sample_id: str
     pose: Pose
-    split: str
     mono: Waveform
     left: Waveform
     right: Waveform
@@ -177,7 +177,7 @@ def synth_dataset(out_dir, room: ShoeboxRoom, n_samples=100, signal="pink", seed
         "room": {
             "dimensions": [float(v) for v in room.dimensions],
             "absorption": [float(v) for v in room.absorption],
-            "speed_of_sound": room.speed_of_sound,
+            "speed_of_sound": SPEED_OF_SOUND,
         },
         "source": [float(v) for v in source],
         "sample_rate": int(sample_rate),
@@ -298,7 +298,6 @@ class Dataset:
         return RenderedSample(
             sample_id=sid,
             pose=self._poses[sid],
-            split=record["split"],
             mono=Waveform(mono_data, sr),
             left=Waveform(stereo[:, 0], sr),
             right=Waveform(stereo[:, 1], sr),

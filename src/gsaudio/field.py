@@ -48,16 +48,14 @@ def guidance_rows(positions, anchor):
 
 
 class FieldNetwork:
-    """55 -> 64 -> mean over rows -> 64 MLP (relu after the hidden layer).
-    Both widths are ``CONTEXT_WIDTH``; only the alpha width varies with the
-    alpha init."""
+    """(alpha_dim + 3) -> 64 -> mean over rows -> 64 MLP (relu after the
+    hidden layer), its weights drawn from the generator ``rng``. Both widths
+    are ``CONTEXT_WIDTH``; only ``alpha_dim`` varies, with the alpha init."""
 
-    def __init__(self, alpha_dim=52, rng=None, seed=None):
+    def __init__(self, alpha_dim, rng):
         self.alpha_dim = int(alpha_dim)
         in_dim = self.alpha_dim + GUIDANCE_DIM
         width = CONTEXT_WIDTH
-        if rng is None:
-            rng = np.random.default_rng(seed)
         self.w1 = Tensor(rng.standard_normal((in_dim, width)) * np.sqrt(2.0 / in_dim),
                          param=True, name="field.w1")
         self.b1 = Tensor(np.zeros(width), param=True, name="field.b1")

@@ -118,8 +118,7 @@ class SceneModel:
         ctx = self.context(tape, pose) if context is None else context
         xy01 = normalize_position(pose.position, self.bounds)
         n_bins = self.window // 2 + 1
-        mixture, difference = self.masknet.mask_tensors(tape, xy01, pose.heading(), ctx.tensor,
-                                                        n_bins)
+        mixture, difference = self.masknet.mask_tensors(tape, xy01, pose.yaw, ctx.tensor, n_bins)
         return mixture, difference, ctx
 
     def masks(self, pose: Pose, context=None) -> AcousticMasks:
@@ -140,7 +139,7 @@ class SceneModel:
         """(amplitudes, context) for ``pose`` at the normalized ``times01``."""
         ctx = self.context(tape, pose)
         xy01 = normalize_position(pose.position, self.bounds)
-        return self.masknet.rir_tensor(tape, xy01, pose.heading(), ctx.tensor, times01), ctx
+        return self.masknet.rir_tensor(tape, xy01, pose.yaw, ctx.tensor, times01), ctx
 
     def predict_ir(self, pose: Pose, n_samples) -> Waveform:
         if self.mode != "rir":

@@ -1,17 +1,17 @@
 """Shoebox-room geometric acoustics: image-source impulse responses and a
 two-point spherical-head binaural renderer.
 
-This is the independent oracle the learned pipeline trains against. Walls
-carry energy absorption coefficients in [0, 1]; pressure reflection factors
-are sqrt(1 - absorption). Image amplitudes are the product of reflection
-factors over the path divided by the travel distance (no 4*pi scaling), and
-arrivals land on the sample grid through an 81-tap Hann-windowed sinc.
+This is the independent oracle the learned pipeline trains against. Sound
+travels at ``SPEED_OF_SOUND``. Walls carry energy absorption coefficients
+in [0, 1]; pressure reflection factors are sqrt(1 - absorption). Image
+amplitudes are reflection-factor products over the travel distance (no 4*pi
+scaling); arrivals land on the sample grid through an 81-tap Hann sinc.
 
-The head is fixed: ears ``HEAD_RADIUS`` to either side of the listener, a
-level difference of ``ILD_STRENGTH`` and a receiver gain of
-``RECEIVER_GAIN``. ``binaural_render`` and ``ear_impulse_responses`` share
-one per-ear path, so convolving the mono source with the stored per-ear
-responses reproduces the rendered pair.
+The head is fixed: ears ``HEAD_RADIUS`` to either side of the listener,
+square to its yaw, a level difference of ``ILD_STRENGTH`` and a receiver
+gain of ``RECEIVER_GAIN``. ``binaural_render`` and ``ear_impulse_responses``
+share one per-ear path, so convolving the mono source with the stored
+per-ear responses reproduces the rendered pair.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ _UP = np.array([0.0, 0.0, 1.0])
 
 @dataclass
 class ShoeboxRoom:
+    """A room from the origin to ``dimensions``; sound crosses it at ``SPEED_OF_SOUND``."""
+
     dimensions: np.ndarray  # (3,), meters
     absorption: np.ndarray  # (6,): x_lo, x_hi, y_lo, y_hi, z_lo, z_hi
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         self.dimensions = np.asarray(self.dimensions, dtype=np.float64).reshape(3)
@@ -52,7 +53,6 @@ class ShoeboxRoom:
         if np.any((absorption < 0) | (absorption > 1)):
             raise ConfigError("absorption coefficients must lie in [0, 1]")
         self.absorption = absorption
-        self.speed_of_sound = float(self.speed_of_sound)
 
     def contains(self, point, margin=0.0):
         p = np.asarray(point, dtype=np.float64)
@@ -111,7 +111,7 @@ def image_source_rir(room: ShoeboxRoom, source, receiver, max_order=3,
     if np.any(dists < 1e-6):
         raise GeometryError("receiver coincides with the source")
     n = int(round(duration * sample_rate))
-    delays = dists / room.speed_of_sound * sample_rate
+    delays = dists / SPEED_OF_SOUND * sample_rate
     amps = factors / dists
     # keep arrivals whose sinc support can intersect the buffer
     live = delays < n + _SINC_HALF_WIDTH
@@ -132,10 +132,7 @@ def image_source_rir(room: ShoeboxRoom, source, receiver, max_order=3,
 def _lateral_axis(direction):
     """Unit vector pointing to the listener's left."""
     left = np.cross(_UP, direction)
-    norm = float(np.linalg.norm(left))
-    if norm < 1e-9:
-        raise GeometryError("listener facing straight up or down")
-    return left / norm
+    return left / float(np.linalg.norm(left))
 
 
 def ear_positions(pose: Pose):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,35 +91,23 @@ def _finite_pose_field(name, value):
 
 @dataclass
 class Pose:
-    """A listener: position, unit facing direction and, when known, yaw in
-    radians. A non-finite position, direction or yaw is a
-    ``ContractViolation`` naming the field."""
+    """A listener: position and yaw in radians. ``direction``, the unit
+    horizontal facing (cos yaw, sin yaw, 0), is derived from the yaw. A
+    non-finite position or yaw is a ``ContractViolation`` naming the field."""
 
     position: np.ndarray
-    direction: np.ndarray
-    yaw: float | None = None
+    yaw: float
+    direction: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.position = _finite_pose_field("position", self.position).reshape(3)
-        direction = _finite_pose_field("direction", self.direction).reshape(3)
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-12:
-            raise ContractViolation("pose direction must be non-zero")
-        self.direction = direction / norm
-        if self.yaw is not None:
-            self.yaw = float(_finite_pose_field("yaw", self.yaw))
+        self.yaw = float(_finite_pose_field("yaw", self.yaw))
+        direction = np.array([math.cos(self.yaw), math.sin(self.yaw), 0.0])
+        self.direction = direction / float(np.linalg.norm(direction))
 
     @classmethod
     def from_yaw(cls, position, yaw):
-        yaw = float(_finite_pose_field("yaw", yaw))
-        return cls(position=np.asarray(position, dtype=np.float64),
-                   direction=np.array([math.cos(yaw), math.sin(yaw), 0.0]), yaw=yaw)
-
-    def heading(self):
-        """Yaw angle in radians; derived from the direction when not stored."""
-        if self.yaw is not None:
-            return self.yaw
-        return math.atan2(self.direction[1], self.direction[0])
+        return cls(position, yaw)
 
 
 def project_covariance(sigma, view, jacobian):

@@ -230,10 +230,16 @@ def mixture_magnitude(left_mag, right_mag):
 
 
 def ear_perspectives(sample):
-    """Expand a pose into (left, right) ear-anchored poses."""
+    """Expand a pose into (left, right) ear-anchored poses with its yaw."""
     left_pos, right_pos = ear_positions(sample.pose)
-    make = lambda p: Pose(position=p, direction=sample.pose.direction, yaw=sample.pose.yaw)
-    return make(left_pos), make(right_pos)
+    return Pose.from_yaw(left_pos, sample.pose.yaw), Pose.from_yaw(right_pos, sample.pose.yaw)
+
+
+def _require_sample_rate(model: SceneModel, dataset: Dataset):
+    """Refuse a dataset whose sample rate differs from the model's."""
+    if dataset.sample_rate != model.sample_rate:
+        raise ConfigError(f"dataset sample rate {dataset.sample_rate} Hz differs from the "
+                          f"model's {model.sample_rate} Hz")
 
 
 class Trainer:
@@ -244,9 +250,7 @@ class Trainer:
             ours, theirs = getattr(config, name), getattr(model, name)
             if ours != theirs:
                 raise ConfigError(f"config {name} {ours} differs from the model's {theirs}")
-        if dataset.sample_rate != model.sample_rate:
-            raise ConfigError(f"dataset sample rate {dataset.sample_rate} Hz differs from the "
-                              f"model's {model.sample_rate} Hz")
+        _require_sample_rate(model, dataset)
         self.model = model
         self.dataset = dataset
         self.config = config
@@ -529,6 +533,7 @@ def evaluate_binaural(model: SceneModel, dataset: Dataset, split, window=WINDOW,
 
 
 def evaluate_rir(model: SceneModel, dataset: Dataset, split):
+    _require_sample_rate(model, dataset)
     records = _split_records(dataset, split)
     sums = {"t60_error_percent": 0.0, "c50_error_db": 0.0, "edt_error_sec": 0.0}
     valid = 0

@@ -31,14 +31,14 @@ def random_context(rng, width=128):
 
 def masks_of(net, pose, ctx):
     """Forward-only masks over all bins, with the pose's (x, y) used as is."""
-    mixture, difference = net.mask_tensors(None, pose.position[:2], pose.heading(), ctx, N_BINS)
+    mixture, difference = net.mask_tensors(None, pose.position[:2], pose.yaw, ctx, N_BINS)
     return AcousticMasks(mixture=mixture.data[:, 0], difference=difference.data[:, 0])
 
 
 def ir_of(net, pose, ctx, n_samples):
     """Forward-only impulse-response amplitudes at t/T = 0, 1/n, ..."""
     times01 = np.arange(n_samples) / n_samples
-    return net.rir_tensor(None, pose.position[:2], pose.heading(), ctx, times01).data[:, 0]
+    return net.rir_tensor(None, pose.position[:2], pose.yaw, ctx, times01).data[:, 0]
 
 
 # --- positional encoding ---
@@ -83,7 +83,7 @@ def test_direction_infinite_rejected():
 # --- mask queries ---
 
 def test_zero_network_masks():
-    net = zeroed(MaskNetwork(mode="binaural", seed=0))
+    net = zeroed(MaskNetwork(mode="binaural", rng=np.random.default_rng(0)))
     pose = Pose.from_yaw([0.5, 0.5, 0.0], 0.2)
     masks = masks_of(net, pose, Tensor(np.zeros((1, 128))))
     assert np.allclose(masks.mixture, 1.0, atol=1e-15)
@@ -91,7 +91,7 @@ def test_zero_network_masks():
 
 
 def test_mask_lengths():
-    net = MaskNetwork(mode="binaural", seed=1)
+    net = MaskNetwork(mode="binaural", rng=np.random.default_rng(1))
     pose = Pose.from_yaw([0.2, 0.8, 0.0], -0.4)
     rng = np.random.default_rng(2)
     masks = masks_of(net, pose, random_context(rng))
@@ -100,7 +100,7 @@ def test_mask_lengths():
 
 
 def test_mixture_ignores_yaw():
-    net = MaskNetwork(mode="binaural", seed=3)
+    net = MaskNetwork(mode="binaural", rng=np.random.default_rng(3))
     rng = np.random.default_rng(4)
     ctx = random_context(rng)
     m_pos = masks_of(net, Pose.from_yaw([0.4, 0.6, 0.0], 0.9), ctx)
@@ -114,7 +114,7 @@ def test_mask_ranges_on_random_inputs():
     # guaranteed range is the closed interval; moderate weights stay interior
     rng = np.random.default_rng(5)
     for seed in range(3):
-        net = MaskNetwork(mode="binaural", seed=seed)
+        net = MaskNetwork(mode="binaural", rng=np.random.default_rng(seed))
         for p in net.params():
             p.data = p.data * 10.0
         pose = Pose.from_yaw(rng.uniform(0, 1, 3), rng.uniform(-6, 6))
@@ -122,7 +122,7 @@ def test_mask_ranges_on_random_inputs():
         assert np.all(masks.mixture >= 0.0) and np.all(masks.mixture <= 2.0)
         assert np.all(masks.difference >= -1.0) and np.all(masks.difference <= 1.0)
     for seed in range(3):
-        net = MaskNetwork(mode="binaural", seed=10 + seed)
+        net = MaskNetwork(mode="binaural", rng=np.random.default_rng(10 + seed))
         pose = Pose.from_yaw(rng.uniform(0, 1, 3), rng.uniform(-6, 6))
         masks = masks_of(net, pose, Tensor(rng.standard_normal((1, 128))))
         assert np.all(masks.mixture > 0.0) and np.all(masks.mixture < 2.0)
@@ -130,7 +130,7 @@ def test_mask_ranges_on_random_inputs():
 
 
 def test_mirror_yaw_probes_differ_at_hard_left_right():
-    net = MaskNetwork(mode="binaural", seed=6)
+    net = MaskNetwork(mode="binaural", rng=np.random.default_rng(6))
     # the difference head initializes near zero; scale it to trained-like
     # magnitude so distinguishability is measured at a meaningful level
     net.m4[0].data = net.m4[0].data * 1e3
@@ -142,7 +142,7 @@ def test_mirror_yaw_probes_differ_at_hard_left_right():
 
 
 def test_context_width_checked():
-    net = MaskNetwork(mode="binaural", seed=8)
+    net = MaskNetwork(mode="binaural", rng=np.random.default_rng(8))
     pose = Pose.from_yaw([0.1, 0.1, 0.0], 0.0)
     with pytest.raises(ContractViolation):
         masks_of(net, pose, Tensor(np.zeros((1, 64))))
@@ -314,7 +314,7 @@ def test_binauralize_matches_per_channel_scaled_spectra(length):
 # --- differentiability ---
 
 def test_masks_differentiable_in_weights_and_context():
-    net = MaskNetwork(mode="binaural", seed=13)
+    net = MaskNetwork(mode="binaural", rng=np.random.default_rng(13))
     # trained-like head scale; the near-zero init leaves difference-path
     # gradients at float roundoff magnitude where central differences degrade
     net.m4[0].data = net.m4[0].data * 1e3
@@ -359,21 +359,21 @@ def test_masks_differentiable_in_weights_and_context():
 # --- impulse-response head ---
 
 def test_zero_network_rir_is_silent():
-    net = zeroed(MaskNetwork(mode="rir", seed=15))
+    net = zeroed(MaskNetwork(mode="rir", rng=np.random.default_rng(15)))
     pose = Pose.from_yaw([0.5, 0.5, 0.0], 0.0)
     ir = ir_of(net, pose, Tensor(np.zeros((1, 128))), 500)
     assert np.array_equal(ir, np.zeros(500))
 
 
 def test_rir_length():
-    net = MaskNetwork(mode="rir", seed=16)
+    net = MaskNetwork(mode="rir", rng=np.random.default_rng(16))
     pose = Pose.from_yaw([0.5, 0.5, 0.0], 0.0)
     ir = ir_of(net, pose, random_context(np.random.default_rng(17)), 777)
     assert len(ir) == 777
 
 
 def test_rir_distinguishes_head_orientations():
-    net = MaskNetwork(mode="rir", seed=18)
+    net = MaskNetwork(mode="rir", rng=np.random.default_rng(18))
     rng = np.random.default_rng(19)
     ctx = random_context(rng)
     irs = []
@@ -386,14 +386,14 @@ def test_rir_distinguishes_head_orientations():
 
 
 def test_rir_mode_rejects_mask_query():
-    net = MaskNetwork(mode="rir", seed=20)
+    net = MaskNetwork(mode="rir", rng=np.random.default_rng(20))
     with pytest.raises(ConfigError):
         masks_of(net, Pose.from_yaw([0, 0, 0], 0.0), Tensor(np.zeros((1, 128))))
 
 
 def test_bad_mode_rejected():
     with pytest.raises(ConfigError):
-        MaskNetwork(mode="stereo")
+        MaskNetwork(mode="stereo", rng=np.random.default_rng(0))
 
 
 # --- position normalization ---
@@ -407,8 +407,9 @@ def test_normalize_position_idempotent_for_identical_bounds():
 
 
 def test_mask_checkpoint_round_trip(tmp_path):
-    net = MaskNetwork(mode="binaural", seed=21)
-    back = SceneModel.load(save_model_around(tmp_path, FieldNetwork(seed=21), net)).masknet
+    net = MaskNetwork(mode="binaural", rng=np.random.default_rng(21))
+    field = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(21))
+    back = SceneModel.load(save_model_around(tmp_path, field, net)).masknet
     assert back.mode == "binaural"
     pose = Pose.from_yaw([0.4, 0.4, 0.0], 1.1)
     ctx = random_context(np.random.default_rng(22))
@@ -419,7 +420,8 @@ def test_mask_checkpoint_round_trip(tmp_path):
 
 
 def test_partial_mask_checkpoint_rejected(tmp_path):
-    save_model_around(tmp_path, FieldNetwork(seed=23), MaskNetwork(mode="binaural", seed=23))
+    save_model_around(tmp_path, FieldNetwork(alpha_dim=52, rng=np.random.default_rng(23)),
+                      MaskNetwork(mode="binaural", rng=np.random.default_rng(23)))
     rewrite_model_bin(tmp_path, lambda named: named[:-1])
     with pytest.raises(ContractViolation, match="tensors"):
         SceneModel.load(tmp_path)

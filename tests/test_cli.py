@@ -693,3 +693,31 @@ def test_eval_on_a_dataset_at_another_sample_rate_exits_1(tiny_run, tmp_path, ca
     assert code == 1
     assert err.startswith("error: ") and "44100" in err and "22050" in err
     assert not out_path.exists()
+
+
+def test_rir_eval_on_a_dataset_at_another_sample_rate_exits_1(tmp_path, capsys):
+    from gsaudio import cli
+
+    data, data44 = tmp_path / "rir_data", tmp_path / "rir_data44"
+    assert cli.main(["gen-data", "--out", str(data), "--n", "6", "--seed", "4", "--with-rir",
+                     "--absorption", "0.7", "--ir-duration", "0.1"]) == 0
+    config = tmp_path / "gen44.json"
+    config.write_text(json.dumps({"sample_rate": 44100, "duration": 0.7}))
+    assert cli.main(["gen-data", "--config", str(config), "--out", str(data44), "--n", "5",
+                     "--seed", "5", "--with-rir", "--ir-duration", "0.1"]) == 0
+    config = tmp_path / "rir.json"
+    config.write_text(json.dumps({"mode": "rir", "iterations": 2, "eval_interval": 2,
+                                  "densify_interval": 0, "init_points": 64,
+                                  "rir_time_batch": 128, "seed": 0}))
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--dataset", str(data),
+                     "--out", str(run)]) == 0
+    out_path = tmp_path / "eval.json"
+    capsys.readouterr()
+    code = cli.main(["eval", "--checkpoint", str(run / "final"), "--dataset", str(data44),
+                     "--split", "val", "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "44100" in err and "22050" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()

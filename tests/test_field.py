@@ -81,7 +81,7 @@ def test_guidance_rows_match_the_norm_form_at_32768():
 
 
 def test_zero_weight_network_gives_zero_context():
-    net = FieldNetwork(alpha_dim=52, seed=0)
+    net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(0))
     for p in net.params():
         p.data = np.zeros_like(p.data)
     out = forward_one(net, np.random.default_rng(2).standard_normal(52), np.array([1.0, 0, 0]))
@@ -89,7 +89,7 @@ def test_zero_weight_network_gives_zero_context():
 
 
 def test_forward_deterministic():
-    net = FieldNetwork(alpha_dim=52, seed=1)
+    net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(1))
     rng = np.random.default_rng(3)
     alpha = rng.standard_normal(52)
     g = guidance(rng.standard_normal(3), np.zeros(3))
@@ -97,7 +97,7 @@ def test_forward_deterministic():
 
 
 def test_forward_matches_naive():
-    net = FieldNetwork(alpha_dim=52, seed=2)
+    net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(2))
     rng = np.random.default_rng(4)
     alpha = rng.standard_normal(52)
     g = rng.standard_normal(3)
@@ -117,7 +117,7 @@ def per_row_mean_context(net, x):
 
 
 def test_forward_applies_the_second_layer_to_one_pooled_row():
-    net = FieldNetwork(alpha_dim=52, seed=12)
+    net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(12))
     x = Tensor(np.random.default_rng(12).standard_normal((40, 55)))
     tape = Tape()
     out = net.forward(tape, x)
@@ -130,7 +130,7 @@ def test_forward_applies_the_second_layer_to_one_pooled_row():
 
 @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
 def test_pooled_forward_gradients_match_finite_differences(name):
-    net = FieldNetwork(alpha_dim=5, seed=13)
+    net = FieldNetwork(alpha_dim=5, rng=np.random.default_rng(13))
     rng = np.random.default_rng(13)
     for b in (net.b1, net.b2):  # nonzero biases, so their gradients are exercised
         b.data = rng.standard_normal(b.shape) * 0.3
@@ -156,7 +156,7 @@ def test_forward_matches_the_per_row_mean_on_a_4916_row_vicinity():
     rng = np.random.default_rng(14)
     positions = rng.uniform(0.0, 6.0, (32768, 3))
     alphas = rng.standard_normal((32768, 52)) * 0.4
-    net = FieldNetwork(alpha_dim=52, seed=14)
+    net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(14))
     anchor = np.array([2.5, 1.7, 1.2])
     got, indices = anchor_context(None, net, positions, alpha_rows(alphas), anchor, 15.0)
     assert indices.size == 4916
@@ -170,7 +170,7 @@ def make_scene(n=50, alpha_dim=52, seed=5):
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0, 4, (n, 3))
     alphas = rng.standard_normal((n, alpha_dim)) * 0.4
-    net = FieldNetwork(alpha_dim=alpha_dim, seed=seed)
+    net = FieldNetwork(alpha_dim=alpha_dim, rng=np.random.default_rng(seed))
     listener = Pose.from_yaw(rng.uniform(0.5, 3.5, 3), 0.3)
     source = rng.uniform(0.5, 3.5, 3)
     return positions, alphas, net, listener, source
@@ -180,7 +180,7 @@ def test_pooled_context_of_one_point_equals_forward():
     positions = np.array([[1.0, 1.0, 1.0]])
     rng = np.random.default_rng(6)
     alphas = rng.standard_normal((1, 52))
-    net = FieldNetwork(alpha_dim=52, seed=6)
+    net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(6))
     listener = Pose.from_yaw([2.0, 2.0, 2.0], 0.0)
     source = np.array([0.0, 0.0, 0.0])
     ctx = pooled_context(None, net, positions, alpha_rows(alphas), listener, source, 100)
@@ -224,7 +224,7 @@ def test_pooled_context_translation_invariant():
                           15).vector()
     moved = pooled_context(
         None, net, positions + shift, alpha_rows(alphas),
-        Pose(position=listener.position + shift, direction=listener.direction),
+        Pose.from_yaw(listener.position + shift, listener.yaw),
         source + shift, 15).vector()
     assert np.max(np.abs(base - moved)) < 1e-12
 
@@ -243,8 +243,9 @@ def test_pooled_context_differentiable_in_alpha():
 
 
 def test_field_checkpoint_round_trip(tmp_path):
-    net = FieldNetwork(alpha_dim=52, seed=9)
-    back = SceneModel.load(save_model_around(tmp_path, net, MaskNetwork(seed=9))).field
+    net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(9))
+    masknet = MaskNetwork(mode="binaural", rng=np.random.default_rng(9))
+    back = SceneModel.load(save_model_around(tmp_path, net, masknet)).field
     rng = np.random.default_rng(10)
     alpha = rng.standard_normal(52)
     g = guidance(rng.standard_normal(3), np.zeros(3))
@@ -252,7 +253,8 @@ def test_field_checkpoint_round_trip(tmp_path):
 
 
 def test_partial_field_checkpoint_rejected(tmp_path):
-    save_model_around(tmp_path, FieldNetwork(alpha_dim=52, seed=9), MaskNetwork(seed=9))
+    save_model_around(tmp_path, FieldNetwork(alpha_dim=52, rng=np.random.default_rng(9)),
+                      MaskNetwork(mode="binaural", rng=np.random.default_rng(9)))
     rewrite_model_bin(tmp_path, lambda named: named[:3])
     with pytest.raises(ContractViolation, match="3 tensors"):
         SceneModel.load(tmp_path)
@@ -260,7 +262,8 @@ def test_partial_field_checkpoint_rejected(tmp_path):
 
 def test_field_checkpoint_of_another_width_rejected(tmp_path):
     rng = np.random.default_rng(11)
-    save_model_around(tmp_path, FieldNetwork(alpha_dim=52, seed=9), MaskNetwork(seed=9))
+    save_model_around(tmp_path, FieldNetwork(alpha_dim=52, rng=np.random.default_rng(9)),
+                      MaskNetwork(mode="binaural", rng=np.random.default_rng(9)))
     shapes = {"field.w1": (55, 32), "field.b1": (32,), "field.w2": (32, 32), "field.b2": (32,)}
     rewrite_model_bin(tmp_path, lambda named: [
         (name, rng.standard_normal(shapes[name]) if name in shapes else a) for name, a in named])

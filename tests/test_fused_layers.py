@@ -97,8 +97,8 @@ def make_model(mode, seed=5, n_points=512):
     points = init_audio_points(synthetic_cloud([0, 0, 0], [6, 4, 3], n_points, rng))
     # spread the alphas so the volume term and every alpha gradient are busy
     points.alpha += rng.standard_normal(points.alpha.shape) * 0.3
-    return SceneModel(points=points, field=FieldNetwork(alpha_dim=52, rng=rng, seed=seed),
-                      masknet=MaskNetwork(mode=mode, rng=rng, seed=seed),
+    return SceneModel(points=points, field=FieldNetwork(alpha_dim=52, rng=rng),
+                      masknet=MaskNetwork(mode=mode, rng=rng),
                       source=np.array([1.8, 2.0, 1.5]),
                       bounds=(np.zeros(3), np.array([6.0, 4.0, 3.0])), seed=seed)
 

@@ -26,8 +26,8 @@ def make_model(mode="binaural", seed=0, n_points=64):
     points = init_audio_points(cloud)
     return SceneModel(
         points=points,
-        field=FieldNetwork(alpha_dim=52, rng=rng, seed=seed),
-        masknet=MaskNetwork(mode=mode, rng=rng, seed=seed),
+        field=FieldNetwork(alpha_dim=52, rng=rng),
+        masknet=MaskNetwork(mode=mode, rng=rng),
         source=np.array([1.8, 2.0, 1.5]),
         bounds=(np.zeros(3), np.array([6.0, 4.0, 3.0])),
         seed=seed,
@@ -117,8 +117,8 @@ def test_alpha_width_must_match_field(tmp_path):
     cloud = synthetic_cloud([0, 0, 0], [6, 4, 3], 16, rng)
     points = init_audio_points(cloud, ("O",))  # width 1
     with pytest.raises(ConfigError):
-        SceneModel(points=points, field=FieldNetwork(alpha_dim=52, seed=0),
-                   masknet=MaskNetwork(mode="binaural", seed=0),
+        SceneModel(points=points, field=FieldNetwork(alpha_dim=52, rng=np.random.default_rng(0)),
+                   masknet=MaskNetwork(mode="binaural", rng=np.random.default_rng(0)),
                    source=np.zeros(3), bounds=(np.zeros(3), np.ones(3)))
 
 

@@ -155,12 +155,6 @@ def test_head_shadow_gains_sum_to_two():
     assert gl + gr == pytest.approx(2.0)
 
 
-def test_vertical_listener_rejected():
-    pose = Pose(position=np.array([1.0, 1.0, 1.5]), direction=np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(GeometryError):
-        ear_positions(pose)
-
-
 def test_render_output_matches_mono_length():
     room = ShoeboxRoom([6.0, 4.0, 3.0], 0.5)
     pose = Pose.from_yaw([4.0, 2.0, 1.5], np.pi)

@@ -16,9 +16,10 @@ from gsaudio.cli import build_model, load_run_config, train_config_from
 from gsaudio.dataset import Dataset, synth_dataset
 from gsaudio.errors import ConfigError, ContractViolation, DataError, EvaluationError
 from gsaudio.kdtree import KDTree, nearest_distances
-from gsaudio.roomsim import ShoeboxRoom
+from gsaudio.roomsim import ShoeboxRoom, ear_positions
 from gsaudio.training import (GradStats, Trainer, _BinauralSample,
-                              codec_baselines, evaluate_binaural, loss_reconstruction,
+                              codec_baselines, ear_perspectives, evaluate_binaural,
+                              loss_reconstruction,
                               loss_reconstruction_binned, loss_volume, mixture_magnitude,
                               save_train_state, total_loss)
 
@@ -42,6 +43,18 @@ def make_trainer(dataset, seed=3, iterations=50, points=128, **overrides):
     for key, value in overrides.items():
         setattr(tcfg, key, value)
     return Trainer(model, dataset, tcfg)
+
+
+def test_ear_perspectives_are_the_ears_facing_the_sample_yaw(small_dataset):
+    for rec in small_dataset.records():
+        sample = small_dataset.sample(rec)
+        poses = ear_perspectives(sample)
+        ears = ear_positions(sample.pose)
+        assert len(poses) == 2
+        for pose, ear in zip(poses, ears):
+            assert pose.position.tobytes() == ear.tobytes()
+            assert pose.yaw == sample.pose.yaw
+            assert pose.direction.tobytes() == sample.pose.direction.tobytes()
 
 
 # --- loss terms ---
