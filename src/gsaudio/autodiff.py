@@ -3,17 +3,18 @@
 A Tape records every primitive applied to tracked tensors, in execution
 order. Gradients come from walking that record backwards once, so the
 accumulation order is fixed and repeat runs are bit-identical. Gradients are
-dense arrays, except that ``gather_rows`` gives its input a ``RowSparse``
-gradient, which holds only the rows it gathered: a step that reads a few
-rows of a large parameter makes no gradient of the parameter's full size.
+dense arrays, except that ``gather_rows`` and ``volume`` give their input a
+``RowSparse`` gradient, which holds only the rows they read: a step that
+reads a few rows of a large parameter makes no gradient of the parameter's
+full size.
 
 The primitive set is small on purpose: matrix multiply, the fused dense
 layer ``dense`` (matmul, bias and optional relu as one entry, so a layer
 makes one output array and one finite scan; its input may be a list of
 column blocks, where a one-row block is multiplied once and broadcast over
 the output's rows), broadcast arithmetic, relu and sigmoid, concatenation,
-row gathering, reductions, and a row-wise product used by the volume
-regularizer.
+row gathering, reductions, and ``volume``, the volume regularizer as one
+entry.
 
 Ops are module-level functions taking the tape as first argument; pass
 ``tape=None`` for a forward-only evaluation (inference reuses the exact same
@@ -132,8 +133,8 @@ class Tape:
         """Walk the record in reverse from ``output``, seeded with ones of its
         shape, and return {param Tensor: gradient}. A gradient is an array,
         or a ``RowSparse`` when every contribution to it came from
-        ``gather_rows``; contributions are summed in backward order. Both
-        dicts are keyed by the tensors themselves (identity hash)."""
+        ``gather_rows`` or ``volume``; contributions are summed in backward
+        order. Both dicts are keyed by the tensors themselves (identity hash)."""
         grads = {output: np.ones_like(output.data)}
         params = {output: None} if output.param else {}
         for entry in reversed(self.entries):
@@ -307,16 +308,6 @@ def square(tape, a):
     return _record(tape, "square", (a,), ad * ad, bwd)
 
 
-def absolute(tape, a):
-    a = _wrap(a)
-    s = np.sign(a.data)
-
-    def bwd(g):
-        return (g * s,)
-
-    return _record(tape, "abs", (a,), np.abs(a.data), bwd)
-
-
 def concat(tape, tensors):
     """Join tensors side by side, along axis 1."""
     tensors = tuple(_wrap(t) for t in tensors)
@@ -331,16 +322,21 @@ def concat(tape, tensors):
                    np.concatenate([t.data for t in tensors], axis=1), bwd)
 
 
-def gather_rows(tape, a, indices):
-    """Rows ``indices`` of ``a`` (entries of its first axis); the indices
-    must be 1-D, non-negative and strictly increasing, so each names one row
-    once. The backward pass returns a ``RowSparse`` gradient of ``a``: the
-    indices, with 0.0 + g as values, the bits ``np.add.at`` writes into a
-    zero array (it turns -0.0 into +0.0)."""
-    a = _wrap(a)
+def _row_indices(op, indices):
+    """``indices`` as int64; each must name one row once, in increasing order."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1 or np.any(indices[:1] < 0) or np.any(indices[1:] <= indices[:-1]):
-        raise ContractViolation("gather_rows needs 1-D, non-negative, strictly increasing indices")
+        raise ContractViolation(f"{op} needs 1-D, non-negative, strictly increasing indices")
+    return indices
+
+
+def gather_rows(tape, a, indices):
+    """Rows ``indices`` of ``a`` (entries of its first axis, checked by
+    ``_row_indices``). The backward pass returns a ``RowSparse`` gradient of
+    ``a``: the indices, with 0.0 + g as values, the bits ``np.add.at``
+    writes into a zero array (it turns -0.0 into +0.0)."""
+    a = _wrap(a)
+    indices = _row_indices("gather_rows", indices)
     shape = a.data.shape
 
     def bwd(g):
@@ -378,28 +374,31 @@ def total(tape, a):
     return _record(tape, "sum", (a,), a.data.sum(), bwd)
 
 
-def row_prod(tape, a):
-    """Product along the last axis of a 2-D tensor, shape (N, K) -> (N, 1).
-
-    The backward pass uses prefix/suffix products so rows containing zeros
-    still get exact cofactor gradients.
-    """
+def volume(tape, a, rows):
+    """Sum over the rows ``rows`` of the 2-D ``a`` of each row's product of
+    absolute values. The backward pass returns a ``RowSparse`` gradient over
+    ``rows``, ``0.0 + (g * cof) * sign(x)``, each cofactor ``cof`` a product
+    of prefix and suffix ``cumprod``s of |x| (exact in a row holding zeros):
+    the bits of the gather, abs, row-product and sum composition."""
     a = _wrap(a)
+    rows = _row_indices("volume", rows)
     if a.data.ndim != 2:
-        raise ContractViolation(f"row_prod expects a 2-D tensor, got shape {a.shape}")
-    x = a.data
-    left = np.empty_like(x)
-    right = np.empty_like(x)
-    left[:, :1] = 1.0
-    right[:, -1:] = 1.0
-    np.cumprod(x[:, :-1], axis=1, out=left[:, 1:])
-    np.cumprod(x[:, :0:-1], axis=1, out=right[:, -2::-1])
-    cof = left * right
+        raise ContractViolation(f"volume expects a 2-D tensor, got shape {a.shape}")
+    x, shape = a.data[rows], a.data.shape
+    ax = np.abs(x)
 
     def bwd(g):
-        return (g * cof,)
+        cof, right = np.empty_like(ax), np.empty_like(ax)
+        cof[:, :1] = right[:, -1:] = 1.0
+        np.cumprod(ax[:, :-1], axis=1, out=cof[:, 1:])
+        np.cumprod(ax[:, :0:-1], axis=1, out=right[:, -2::-1])
+        cof *= right
+        cof *= g
+        cof *= np.sign(x, out=right)  # each sign is -1, 0 or +1: exact
+        cof += 0.0
+        return (RowSparse(rows, cof, shape),)
 
-    return _record(tape, "row_prod", (a,), x.prod(axis=1, keepdims=True), bwd)
+    return _record(tape, "volume", (a,), ax.prod(axis=1, keepdims=True).sum(), bwd)
 
 
 def mse(tape, a, b):

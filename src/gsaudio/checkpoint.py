@@ -58,18 +58,23 @@ def load_weights(path, leading=None):
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
-        if header.get("magic") != MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != MAGIC:
             raise DataError(f"{path}: not a weight checkpoint")
         if header.get("format") != FORMAT_VERSION:
             raise DataError(f"{path}: format {header.get('format')} weight file; "
                             f"this version reads format {FORMAT_VERSION} only")
-        specs = header["tensors"]
+        specs = header.get("tensors")
+        if not isinstance(specs, list):
+            raise DataError(f"{path}: checkpoint header has no tensor list")
+        for spec in specs:
+            if not (isinstance(spec, dict) and {"name", "shape", "dtype"} <= spec.keys()):
+                raise DataError(f"{path}: tensor spec {spec!r} lacks a name, shape or dtype")
         if leading is not None:
             specs = specs[:leading(header)]
         arrays = []
         for spec in specs:
-            if spec.get("dtype") not in DTYPES:
-                raise DataError(f"{path}: tensor {spec['name']} has dtype {spec.get('dtype')}")
+            if spec["dtype"] not in DTYPES:
+                raise DataError(f"{path}: tensor {spec['name']} has dtype {spec['dtype']}")
             arr = np.empty(spec["shape"], dtype=spec["dtype"])
             if fh.readinto(arr) != arr.nbytes:
                 raise DataError(f"{path}: truncated weight buffer")

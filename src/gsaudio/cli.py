@@ -52,8 +52,7 @@ import numpy as np  # noqa: E402
 # imported by the commands that use them, so ``render`` loads none of them
 from .binauralizer import MaskNetwork, binauralize  # noqa: E402
 from .dsp import Waveform  # noqa: E402
-from .errors import (ConfigError, ContractViolation, DataError, EvaluationError,  # noqa: E402
-                     GeometryError, GsAudioError, SchemaError)
+from .errors import ConfigError, ContractViolation, EvaluationError, GsAudioError  # noqa: E402
 from .field import FieldNetwork  # noqa: E402
 from .model import SceneModel  # noqa: E402
 from .scene import (Pose, alpha_width, init_audio_points, load_gaussian_cloud,  # noqa: E402
@@ -386,9 +385,6 @@ def main(argv=None):
                      if k not in ("command", "config", "threads")}
         cfg = load_run_config(args.config, overrides)
         return _COMMANDS[args.command][0](cfg)
-    except (ConfigError, SchemaError, DataError, GeometryError, ContractViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EvaluationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -251,7 +251,10 @@ class Dataset:
         if not os.path.exists(path):
             raise DataError(f"{root}: no {MANIFEST_NAME}")
         with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise DataError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict) or "samples" not in manifest:
             raise DataError(f"{path}: manifest has no samples")
         return cls(root, manifest)

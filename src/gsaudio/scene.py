@@ -270,6 +270,8 @@ def _read_ply(path):
         if not parts:
             continue
         if parts[0] == "element":
+            if len(parts) != 3 or not parts[2].isdecimal():
+                raise DataError(f"{path}: bad element line {line.strip()!r}")
             in_vertex = parts[1] == "vertex"
             if in_vertex:
                 count = int(parts[2])

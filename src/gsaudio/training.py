@@ -116,11 +116,9 @@ def loss_reconstruction_binned(tape, mixture, difference, sample):
 
 def loss_volume(tape, alphas, active_indices):
     """Sum over the active rows of the (N, K) ``alphas`` of their |alpha| products."""
-    active = np.asarray(active_indices, dtype=np.int64)
-    if active.size == 0:
+    if np.size(active_indices) == 0:
         raise ContractViolation("volume loss needs a non-empty active set")
-    block = ad.gather_rows(tape, alphas, active)
-    return ad.total(tape, ad.row_prod(tape, ad.absolute(tape, block)))
+    return ad.volume(tape, alphas, active_indices)
 
 
 def total_loss(tape, l_m, l_v, lambda_a):
@@ -498,15 +496,22 @@ def load_train_state(path, header, arrays, trainer):
         if key != "iterations" and value != saved:
             raise ConfigError(f"{key} {value} differs from the checkpoint's {saved}")
     data = dict(zip((spec["name"] for spec in header["tensors"]), arrays))
+
+    def tensor(name):
+        if name not in data:
+            raise DataError(f"{path}: train state has no tensor {name}")
+        return data[name]
+
     trainer.iteration = int(state["iteration"])
     trainer.best_value = float(state["best_value"])
     trainer.rng.bit_generator.state = state["rng_state"]
-    trainer.stats.grad_sum = data["grad_sum"]
-    trainer.stats.counts = data["grad_counts"]
-    trainer.opt_alpha.load_state_arrays([(data["alpha_m"], data["alpha_v"], data["alpha_t"])])
+    trainer.stats.grad_sum = tensor("grad_sum")
+    trainer.stats.counts = tensor("grad_counts")
+    trainer.opt_alpha.load_state_arrays([(tensor("alpha_m"), tensor("alpha_v"),
+                                          tensor("alpha_t"))])
     trainer.opt_nets.load_state_arrays([
-        (data[f"net_m_{i}"], data[f"net_v_{i}"], np.full(len(data[f"net_m_{i}"]), t))
-        for i, t in enumerate(data["net_t"])])
+        (tensor(f"net_m_{i}"), tensor(f"net_v_{i}"), np.full(len(tensor(f"net_m_{i}")), t))
+        for i, t in enumerate(tensor("net_t"))])
 
 
 # --- evaluation helpers ---

@@ -58,8 +58,8 @@ def read_wav(path):
     Mono files come back as shape (n,), stereo as (n, 2).
     """
     with open(path, "rb") as fh:
-        riff, _size, wave = struct.unpack("<4sI4s", fh.read(12))
-        if riff != b"RIFF" or wave != b"WAVE":
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
             raise DataError(f"{path}: not a RIFF/WAVE file")
         fmt = None
         payload = None
@@ -72,6 +72,8 @@ def read_wav(path):
             if chunk_size % 2 == 1:
                 fh.read(1)
             if chunk_id == b"fmt ":
+                if len(body) < 16:
+                    raise DataError(f"{path}: fmt chunk of {len(body)} bytes, under 16")
                 fmt = struct.unpack("<HHIIHH", body[:16])
             elif chunk_id == b"data":
                 payload = body
@@ -80,14 +82,18 @@ def read_wav(path):
         if payload is None:
             raise DataError(f"{path}: missing data chunk")
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
-    if audio_format == _FMT_PCM and bits == 16:
-        data = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32767.0
-    elif audio_format == _FMT_FLOAT and bits == 32:
-        data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    else:
+    if (audio_format, bits) not in ((_FMT_PCM, 16), (_FMT_FLOAT, 32)):
         raise DataError(f"{path}: unsupported format ({audio_format}, {bits}-bit)")
     if channels not in (1, 2):
         raise DataError(f"{path}: unsupported channel count {channels}")
+    frame = channels * bits // 8
+    if len(payload) % frame:
+        raise DataError(f"{path}: data chunk of {len(payload)} bytes is not a whole "
+                        f"number of {frame}-byte frames")
+    if audio_format == _FMT_PCM:
+        data = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32767.0
+    else:
+        data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if channels == 2:
         return data.reshape(-1, 2), int(sample_rate)
     return data, int(sample_rate)

@@ -55,8 +55,8 @@ def test_non_finite_op_output_is_a_numeric_failure_naming_the_op():
 
 
 @pytest.mark.parametrize("name", [
-    "matmul", "add", "sub", "mul", "relu", "sigmoid", "square", "abs",
-    "concat", "mean", "mean_axis", "sum", "row_prod", "scale", "gather_rows",
+    "matmul", "add", "sub", "mul", "relu", "sigmoid", "square",
+    "concat", "mean", "mean_axis", "sum", "volume", "scale", "gather_rows",
 ])
 def test_primitive_gradients_exact(name):
     # crc32, not hash(): a str hash changes with every interpreter start
@@ -79,8 +79,6 @@ def test_primitive_gradients_exact(name):
             return ad.mean(tape, ad.sigmoid(tape, x))
         if name == "square":
             return ad.mean(tape, ad.square(tape, x))
-        if name == "abs":
-            return ad.mean(tape, ad.absolute(tape, x))
         if name == "concat":
             return ad.mean(tape, ad.concat(tape, [x, other]))
         if name == "mean":
@@ -89,8 +87,8 @@ def test_primitive_gradients_exact(name):
             return ad.total(tape, ad.mean(tape, x, axis=0, keepdims=True))
         if name == "sum":
             return ad.total(tape, x)
-        if name == "row_prod":
-            return ad.total(tape, ad.row_prod(tape, x))
+        if name == "volume":  # row 2 is never read
+            return ad.volume(tape, x, [0, 1, 3])
         if name == "scale":
             return ad.mean(tape, ad.scale(tape, x, -2.5))
         if name == "gather_rows":  # row 1 is never gathered
@@ -98,7 +96,7 @@ def test_primitive_gradients_exact(name):
             return ad.total(tape, ad.sigmoid(tape, ad.matmul(tape, rows, weights)))
         raise AssertionError(name)
 
-    # keep relu/abs away from their kinks so the central difference is clean
+    # keep relu and volume's |x| away from their kinks so the central difference is clean
     point = rng.standard_normal((4, 5))
     point[np.abs(point) < 0.05] += 0.1
     err = finite_difference_check(build, point, step=1e-6)
@@ -121,22 +119,34 @@ def test_mean_over_an_axis_backward_makes_no_input_sized_array():
     assert not grads[x].flags.writeable
 
 
-def test_row_prod_cofactors_have_the_bits_of_the_ones_like_form():
+def test_volume_gradient_has_the_bits_of_the_composition():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((64, 52))
     x[3, 0] = x[9, 51] = x[17, 20] = 0.0  # one zero: first, last and a middle column
     x[30, 5] = x[30, 40] = 0.0  # two zeros: every cofactor of the row is 0
     x[41] = 0.0
     x[50, 7] = -0.0
-    left, right = np.ones_like(x), np.ones_like(x)
-    np.cumprod(x[:, :-1], axis=1, out=left[:, 1:])
-    np.cumprod(x[:, :0:-1], axis=1, out=right[:, -2::-1])
-    upstream = rng.standard_normal((64, 1))
-    want = upstream * (left * right)
+    rows = np.array([0, 3, 9, 17, 30, 41, 50, 63])
+    block = x[rows]
+    left, right = np.ones_like(block), np.ones_like(block)
+    np.cumprod(np.abs(block[:, :-1]), axis=1, out=left[:, 1:])
+    np.cumprod(np.abs(block[:, :0:-1]), axis=1, out=right[:, -2::-1])
+    g = np.float64(-0.37)
+    want = 0.0 + (g * (left * right)) * np.sign(block)
     a = Tensor(x, param=True)
     tape = Tape()
-    got = tape.backward(ad.total(tape, ad.mul(tape, ad.row_prod(tape, a), Tensor(upstream))))[a]
-    assert got.tobytes() == want.tobytes()
+    got = tape.backward(ad.scale(tape, ad.volume(tape, a, rows), g))[a]
+    assert isinstance(got, RowSparse)
+    assert np.array_equal(got.rows, rows)
+    assert got.values.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(got.values[got.values == 0.0]))
+
+
+@pytest.mark.parametrize("indices", [[2, 2, 0], [0, 3, 1], [-1, 2], [[0, 1]]],
+                         ids=["repeated", "unsorted", "negative", "2-d"])
+def test_volume_rejects_indices_that_are_not_strictly_increasing(indices):
+    with pytest.raises(ContractViolation, match="^volume needs"):
+        ad.volume(None, Tensor(np.ones((4, 3))), indices)
 
 
 def gather_rows_gradient(indices, upstream, n_rows):

@@ -721,3 +721,153 @@ def test_rir_eval_on_a_dataset_at_another_sample_rate_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "44100" in err and "22050" in err
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+def _wav_cut(samples, cut):
+    """A float32 WAV of ``samples`` with the last ``cut`` payload bytes gone."""
+    def make(path):
+        write_wav(path, samples, 22050)
+        path.write_bytes(path.read_bytes()[:-cut])
+    return make
+
+
+def _wav_bytes(data):
+    def make(path):
+        path.write_bytes(data)
+    return make
+
+
+# each a WAV file that the reader refuses, and words its message holds
+MALFORMED_WAVS = {
+    "short-riff-header": (_wav_bytes(b"RIFF\x04\x00\x00\x00"), "not a RIFF/WAVE file"),
+    "short-fmt-chunk": (_wav_bytes(b"RIFF\x14\x00\x00\x00WAVEfmt \x08\x00\x00\x00"
+                                   b"\x03\x00\x01\x00\x22\x56\x00\x00"), "fmt chunk of 8 bytes"),
+    "mono-partial-frame": (_wav_cut(np.zeros(4), 2), "14 bytes"),
+    "stereo-partial-frame": (_wav_cut(np.zeros((4, 2)), 4), "28 bytes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WAVS))
+def test_render_of_a_malformed_wav_exits_1(tiny_run, tmp_path, capsys, case):
+    from gsaudio import cli
+
+    make, words = MALFORMED_WAVS[case]
+    mono_path = tmp_path / "probe.wav"
+    make(mono_path)
+    out_path = tmp_path / "out.wav"
+    capsys.readouterr()
+    code = cli.main(["render", "--checkpoint", str(tiny_run / "final"), "--pose",
+                     "3.0,2.0,1.5,0.5", "--mono", str(mono_path), "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {mono_path}: ") and words in err, err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_eval_on_a_manifest_that_is_not_json_exits_1(tiny_run, tmp_path, capsys):
+    from gsaudio import cli
+
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text('{"samples": [')
+    out_path = tmp_path / "eval.json"
+    capsys.readouterr()
+    code = cli.main(["eval", "--checkpoint", str(tiny_run / "final"), "--dataset", str(data),
+                     "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {data / 'manifest.json'}: not valid JSON"), err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_train_from_a_point_cloud_with_a_bad_element_count_exits_1(tiny_dataset, tmp_path,
+                                                                    capsys):
+    from gsaudio import cli
+
+    cloud = tmp_path / "cloud.ply"
+    save_gaussian_cloud(cloud, synthetic_cloud([0, 0, 0], [6, 4, 3], 64,
+                                               np.random.default_rng(0)))
+    cloud.write_bytes(cloud.read_bytes().replace(b"element vertex 64", b"element vertex 6.4"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = cli.main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                     "--iterations", "2", "--point-cloud", str(cloud)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {cloud}: bad element line 'element vertex 6.4'"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _edit_header(checkpoint, edit):
+    """Rewrite ``checkpoint``/model.bin's header line with ``edit(header)``'s
+    result, keeping the tensor bytes."""
+    path = checkpoint / "model.bin"
+    data = path.read_bytes()
+    header_end = data.index(b"\n")
+    header = edit(json.loads(data[:header_end]))
+    path.write_bytes(json.dumps(header).encode() + data[header_end:])
+
+
+def _drop(key):
+    def edit(header):
+        del header["tensors"][0][key]
+        return header
+    return edit
+
+
+# each an edit of a model.bin header, and words the error message holds
+MALFORMED_HEADERS = {
+    "a-list": (lambda header: [header], "not a weight checkpoint"),
+    "no-tensors": (lambda header: {k: v for k, v in header.items() if k != "tensors"},
+                   "no tensor list"),
+    **{f"spec-without-{key}": (_drop(key), "lacks a name, shape or dtype")
+       for key in ("name", "shape", "dtype")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_render_from_a_malformed_model_header_exits_1(tiny_run, tmp_path, capsys, case):
+    from gsaudio import cli
+
+    edit, words = MALFORMED_HEADERS[case]
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(tiny_run / "final", checkpoint)
+    _edit_header(checkpoint, edit)
+    mono_path = tmp_path / "probe.wav"
+    write_wav(mono_path, np.zeros(2048), 22050)
+    out_path = tmp_path / "out.wav"
+    capsys.readouterr()
+    code = cli.main(["render", "--checkpoint", str(checkpoint), "--pose", "3.0,2.0,1.5,0.5",
+                     "--mono", str(mono_path), "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {checkpoint / 'model.bin'}: ") and words in err, err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_resume_without_a_train_state_tensor_exits_1(tiny_run, tiny_dataset, tmp_path, capsys):
+    from gsaudio import cli
+
+    def rename_grad_sum(header):
+        [spec] = [s for s in header["tensors"] if s["name"] == "grad_sum"]
+        spec["name"] = "grad_total"
+        return header
+
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(tiny_run / "final", checkpoint)
+    _edit_header(checkpoint, rename_grad_sum)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = cli.main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                     "--iterations", "60", "--eval-interval", "20", "--seed", "5",
+                     "--resume", str(checkpoint)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {checkpoint / 'model.bin'}: train state has no tensor "
+                          "grad_sum"), err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -228,6 +228,13 @@ def test_loss_volume_matches_direct_products():
     assert abs(float(out.data) - want) < 1e-12
 
 
+def test_loss_volume_is_one_tape_entry():
+    alphas = Tensor(np.random.default_rng(2).standard_normal((9, 4)), param=True)
+    tape = Tape()
+    out = loss_volume(tape, alphas, np.array([1, 4, 8]))
+    assert [(e.op, e.inputs, e.out) for e in tape.entries] == [("volume", (alphas,), out)]
+
+
 def test_loss_volume_empty_active_set_rejected():
     with pytest.raises(ContractViolation):
         loss_volume(Tape(), Tensor(np.ones((1, 2)), param=True), np.array([], dtype=int))
