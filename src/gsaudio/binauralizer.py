@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dsp import HOP, WINDOW, Spectrogram, Waveform, istft, stft
+from .dsp import HOP, WINDOW, Waveform, istft, stft
 from .errors import ConfigError, ContractViolation
 from .field import CONTEXT_WIDTH
 from .settings import SETTINGS
@@ -232,6 +232,10 @@ def binauralize(mono: Waveform, masks: AcousticMasks, window=WINDOW, hop=HOP):
     cell); more than 10% of both channels' cells logs a warning. Outputs
     match scaling |X| and restoring the phase X/|X| to within 1e-14 on
     clips with a peak <= 1.
+
+    The mono spectrum is the one clip-sized spectrum: each channel is one
+    ``istft`` of it with that channel's gains, applied a block of frames
+    at a time.
     """
     spec = stft(mono, window, hop)
     if masks.mixture.shape[0] != spec.n_bins:
@@ -247,13 +251,4 @@ def binauralize(mono: Waveform, masks: AcousticMasks, window=WINDOW, hop=HOP):
             log.warning("negative channel magnitudes clamped on %.1f%% of bins",
                         100.0 * clamped / (spec.bins.size * 2))
     gains = np.maximum(gains, 0.0)
-    # the frame-major (frames, bins) spectrum, scaled into one buffer that
-    # each channel rewrites; istft reads its transposed view row by row
-    frames = spec.bins.T
-    scaled = np.empty_like(frames)
-    channels = []
-    for g in gains:
-        np.multiply(frames, g, out=scaled)
-        channels.append(istft(Spectrogram(bins=scaled.T, window=window, hop=hop,
-                                          sample_rate=mono.sample_rate), length=len(mono)))
-    return tuple(channels)
+    return tuple(istft(spec, length=len(mono), gain=g) for g in gains)

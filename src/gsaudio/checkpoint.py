@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -69,15 +70,25 @@ def load_weights(path, leading=None):
         for spec in specs:
             if not (isinstance(spec, dict) and {"name", "shape", "dtype"} <= spec.keys()):
                 raise DataError(f"{path}: tensor spec {spec!r} lacks a name, shape or dtype")
+            shape = spec["shape"]
+            # bool is an int subclass; JSON true is no dimension
+            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+                raise DataError(f"{path}: tensor {spec['name']} has shape {shape!r}, "
+                                "not a list of non-negative integers")
         if leading is not None:
             specs = specs[:leading(header)]
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = []
         for spec in specs:
             if spec["dtype"] not in DTYPES:
                 raise DataError(f"{path}: tensor {spec['name']} has dtype {spec['dtype']}")
+            nbytes = np.dtype(spec["dtype"]).itemsize * math.prod(spec["shape"])
+            if nbytes > remaining:
+                raise DataError(f"{path}: truncated weight buffer: tensor {spec['name']} "
+                                f"takes {nbytes} bytes, {remaining} remain")
             arr = np.empty(spec["shape"], dtype=spec["dtype"])
-            if fh.readinto(arr) != arr.nbytes:
-                raise DataError(f"{path}: truncated weight buffer")
+            fh.readinto(arr)
+            remaining -= nbytes
             arrays.append(arr)
     return header, arrays
 

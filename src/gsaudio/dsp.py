@@ -9,18 +9,25 @@ and the overlap-add inverse divides by the exact per-sample window-square
 sum. ``SAMPLE_RATE``, ``WINDOW`` and ``HOP`` (22050 Hz, 512, 128) are the
 engine's defaults; every other default of these three refers to them.
 
-Neither transform loops over frames. ``stft`` frames by a strided view;
-``istft`` overlap-adds by hop-sized blocks, adding block j of every frame in
-one operation. Output block i receives block j of frame i - j, so going from
-the last block of a frame to the first sums each sample's frames in
-ascending frame order: the order, and so the bits, of a per-frame loop.
+Both transforms run over blocks of ``FRAME_BLOCK`` frames, so besides the
+spectrum each makes one clip-sized array: the padded input or output. ``stft``
+fills its (T, F) spectrum one block of frames at a time from a strided
+view of the padded signal. ``istft`` turns one block of rows at a time into
+windowed frames (times a per-bin ``gain`` if one is given) and overlap-adds
+them by hop-sized pieces, adding piece j of every frame in the block in one
+operation. Output piece i receives piece j of frame i - j; going from the
+last piece of a frame to the first, block after block, sums each sample's
+frames in ascending frame order: the order, and so the bits, of a
+per-frame loop. ``np.fft.rfft`` and ``irfft`` give each row the same bits
+whatever the batch, so the blocks change no output byte.
 
 Spectra stay frame-major, the way ``np.fft.rfft`` writes them: ``stft``'s
-``bins`` is the (F, T) transposed view of the (T, F) FFT output, with no
-copy, and ``istft`` hands ``bins.T`` back to ``np.fft.irfft``, which then
-reads contiguous rows. ``Spectrogram.magnitudes()`` alone is bin-major
-(C-ordered (F, T)): the training statistics and ``mag_distance`` reduce
-over it, and their sums keep their bits only in that order.
+``bins`` is the (F, T) transposed view of the (T, F) array its blocks fill,
+with no copy, and ``istft`` hands blocks of ``bins.T`` back to
+``np.fft.irfft``, which then reads contiguous rows.
+``Spectrogram.magnitudes()`` alone is bin-major (C-ordered (F, T)): the
+training statistics and ``mag_distance`` reduce over it, and their sums
+keep their bits only in that order.
 """
 
 from __future__ import annotations
@@ -34,6 +41,11 @@ from .errors import ConfigError, ContractViolation
 SAMPLE_RATE = 22050
 WINDOW = 512
 HOP = 128
+
+# frames per block of both transforms: at WINDOW each per-block array stays
+# under 128 KiB, glibc's default mmap threshold, so the blocks reuse heap
+# memory instead of mapping fresh pages
+FRAME_BLOCK = 24
 
 
 @dataclass
@@ -113,31 +125,54 @@ def stft(wave: Waveform, window=WINDOW, hop=HOP) -> Spectrogram:
     padded = np.zeros(padded_len)
     padded[half : half + x.size] = x
     frames = np.lib.stride_tricks.sliding_window_view(padded, window)[::hop]
-    spec = np.fft.rfft(frames * hann(window)[None, :], axis=1)
+    win = hann(window)
+    spec = np.empty((n_frames, window // 2 + 1), dtype=np.complex128)
+    for a in range(0, n_frames, FRAME_BLOCK):
+        spec[a : a + FRAME_BLOCK] = np.fft.rfft(frames[a : a + FRAME_BLOCK] * win, axis=1)
     return Spectrogram(bins=spec.T, window=window, hop=hop, sample_rate=wave.sample_rate)
 
 
-def istft(spec: Spectrogram, length=None) -> Waveform:
+def istft(spec: Spectrogram, length=None, gain=None) -> Waveform:
+    """The overlap-add inverse of ``spec``, each frame's bins times ``gain``
+    (one real value per bin) when given: the bytes of inverting
+    ``gain[:, None] * spec.bins``, without making that spectrum."""
     _check_params(spec.window, spec.hop)
     window, hop = spec.window, spec.hop
+    rows = spec.bins.T  # frame-major
+    n_frames, n_bins = rows.shape
+    if gain is not None:
+        gain = np.asarray(gain, dtype=np.float64)
+        if gain.shape != (n_bins,):
+            raise ContractViolation(f"gain of shape {gain.shape} for {n_bins} bins")
+        scaled = np.empty((min(FRAME_BLOCK, n_frames), n_bins), dtype=np.complex128)
     win = hann(window)
-    frames = np.fft.irfft(spec.bins.T, n=window, axis=1)
-    frames *= win
-    n_frames = frames.shape[0]
     per_frame = window // hop
     padded_len = (n_frames - 1) * hop + window
     out = np.zeros(padded_len)
-    weight = np.zeros(padded_len)
-    # last block first, so each sample sums its frames in ascending order
-    out_blocks = out.reshape(-1, hop)
-    weight_blocks = weight.reshape(-1, hop)
-    frame_blocks = frames.reshape(n_frames, per_frame, hop)
+    pieces = out.reshape(-1, hop)
+    for a in range(0, n_frames, FRAME_BLOCK):
+        block = rows[a : a + FRAME_BLOCK]
+        n = block.shape[0]
+        if gain is not None:
+            block = np.multiply(block, gain, out=scaled[:n])
+        frames = np.fft.irfft(block, n=window, axis=1)
+        frames *= win
+        frame_pieces = frames.reshape(n, per_frame, hop)
+        # last piece first, so each sample sums its frames in ascending order
+        for j in range(per_frame - 1, -1, -1):
+            pieces[a + j : a + j + n] += frame_pieces[:, j]
+    # a piece's window-square sum depends only on which window pieces land on
+    # it: pieces m - 1 to n_frames - 1 get those of an m-frame clip's piece
+    # m - 1, and the m - 1 pieces at each end those of its ends, so that
+    # clip's sums, added in the same order, serve the whole clip
+    m = min(n_frames, per_frame)
+    weight = np.zeros((m + per_frame - 1, hop))
     win_sq = (win * win).reshape(per_frame, hop)
     for j in range(per_frame - 1, -1, -1):
-        out_blocks[j : j + n_frames] += frame_blocks[:, j]
-        weight_blocks[j : j + n_frames] += win_sq[j]
-    covered = weight > 1e-12
-    np.divide(out, weight, out=out, where=covered)
+        weight[j : j + m] += win_sq[j]
+    for part, w in ((pieces[: m - 1], weight[: m - 1]), (pieces[m - 1 : n_frames], weight[m - 1]),
+                    (pieces[n_frames:], weight[m:])):
+        np.divide(part, w, out=part, where=w > 1e-12)
     half = window // 2
     body = out[half : padded_len - half]
     if length is not None:

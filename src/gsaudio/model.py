@@ -12,6 +12,7 @@ state (header key ``train_state``), which ``load`` does not read.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +29,18 @@ SCHEMA_VERSION = 3
 TRAIN_STATE_KEY = "train_state"
 
 
-def _model_tensor_count(header):
-    return len(header["tensors"]) - header.get(TRAIN_STATE_KEY, {}).get("tensor_count", 0)
+def _model_tensor_count(path, header):
+    """The count of ``load_weights(path)``'s tensors that belong to the model:
+    all of them less the train state's ``tensor_count``."""
+    tensors = len(header["tensors"])
+    state = header.get(TRAIN_STATE_KEY, {"tensor_count": 0})
+    if not isinstance(state, dict):
+        raise DataError(f"{path}: {TRAIN_STATE_KEY} is {state!r}, not an object")
+    count = state.get("tensor_count")
+    if type(count) is not int or not 0 <= count <= tensors:
+        raise DataError(f"{path}: {TRAIN_STATE_KEY}.tensor_count is {count!r}, "
+                        f"not a count of at most {tensors} tensors")
+    return tensors - count
 
 
 class SceneModel:
@@ -177,7 +188,7 @@ class SceneModel:
     def load(cls, directory) -> "SceneModel":
         """The model in ``directory``/model.bin; a train state after it is not read."""
         path = os.path.join(directory, MODEL_NAME)
-        header, arrays = load_weights(path, leading=_model_tensor_count)
+        header, arrays = load_weights(path, leading=partial(_model_tensor_count, path))
         return cls.from_weights(path, header, arrays)
 
     @classmethod
@@ -188,10 +199,13 @@ class SceneModel:
         if header.get("schema_version") != SCHEMA_VERSION:
             raise DataError(f"{path}: schema {header.get('schema_version')} model file; "
                             f"this version reads schema {SCHEMA_VERSION} only")
+        count = _model_tensor_count(path, header)
+        if count < 2:
+            raise DataError(f"{path}: {count} model tensors, fewer than the two point tensors")
         points = AudioPointSet(positions=arrays[0], alpha=arrays[1])
         field = FieldNetwork(alpha_dim=points.alpha_dim, rng=SKIP_INIT)
         masknet = MaskNetwork(mode=header["mode"], rng=SKIP_INIT)
-        set_weights(field.params() + masknet.params(), arrays[2:_model_tensor_count(header)])
+        set_weights(field.params() + masknet.params(), arrays[2:count])
         return cls(points=points, field=field, masknet=masknet, source=header["source"],
                    bounds=header["bounds"], percentile=header["percentile"],
                    window=header["window"], hop=header["hop"],

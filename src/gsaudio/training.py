@@ -484,6 +484,11 @@ def save_train_state(directory, trainer):
     trainer.model.save(directory, train_state=(state_fields, tensors))
 
 
+# the train state's header fields and the JSON types each must have
+_TRAIN_STATE_FIELDS = {"iteration": (int,), "best_value": (int, float),
+                       "rng_state": (dict,), "config": (dict,)}
+
+
 def load_train_state(path, header, arrays, trainer):
     """Restore ``trainer`` from the train state in ``load_weights(path)``'s
     ``header`` and ``arrays``; its schedule must match the saved one in every
@@ -491,6 +496,13 @@ def load_train_state(path, header, arrays, trainer):
     state = header.get(TRAIN_STATE_KEY)
     if state is None:
         raise DataError(f"{path}: checkpoint has no train state; cannot resume")
+    for key, kind in _TRAIN_STATE_FIELDS.items():
+        if key not in state:
+            raise DataError(f"{path}: train state has no field {key}")
+        # bool is an int subclass; JSON true is no iteration
+        if not isinstance(state[key], kind) or isinstance(state[key], bool):
+            raise DataError(f"{path}: train state field {key} is {state[key]!r}, "
+                            f"not {' or '.join(k.__name__ for k in kind)}")
     for key, value in asdict(trainer.config).items():
         saved = state["config"].get(key)
         if key != "iterations" and value != saved:
@@ -504,7 +516,10 @@ def load_train_state(path, header, arrays, trainer):
 
     trainer.iteration = int(state["iteration"])
     trainer.best_value = float(state["best_value"])
-    trainer.rng.bit_generator.state = state["rng_state"]
+    try:
+        trainer.rng.bit_generator.state = state["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: train state field rng_state is unusable: {exc!r}") from exc
     trainer.stats.grad_sum = tensor("grad_sum")
     trainer.stats.counts = tensor("grad_counts")
     trainer.opt_alpha.load_state_arrays([(tensor("alpha_m"), tensor("alpha_v"),

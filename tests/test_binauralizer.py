@@ -8,7 +8,7 @@ from gsaudio import autodiff as ad
 from gsaudio.binauralizer import (AcousticMasks, MaskNetwork, binauralize,
                                   normalize_position, positional_encoding,
                                   transform_direction)
-from gsaudio.dsp import Spectrogram, Waveform, istft, stft
+from gsaudio.dsp import FRAME_BLOCK, Spectrogram, Waveform, istft, stft
 from gsaudio.errors import ConfigError, ContractViolation
 from gsaudio.field import FieldNetwork
 from gsaudio.model import SceneModel
@@ -289,26 +289,49 @@ def test_binauralize_peak_memory_below_five_spectrograms():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one mono spectrum, one scaled-spectrum buffer and the inverse's frames
+    # one mono spectrum, the two output channels and per-block arrays
     assert peak < 4.25 * spec_bytes, peak / spec_bytes
 
 
-@pytest.mark.parametrize("length", [1, 129, 22050])
-def test_binauralize_matches_per_channel_scaled_spectra(length):
-    # the reference scales bin-major bins into a new spectrum per channel;
-    # the masks give negative gains, so the clamp is exercised too
+@pytest.mark.parametrize("length", [1, 129, 22050, 128 * (2 * FRAME_BLOCK - 1),
+                                    128 * (2 * FRAME_BLOCK - 1) + 1, 220500])
+def test_binauralize_matches_per_channel_scaled_spectra(length, caplog):
+    # the reference scales bin-major bins into a new whole-clip spectrum per
+    # channel; the masks give negative gains on over 10 % of the cells, so the
+    # clamp and its warning are exercised too
     rng = np.random.default_rng(length + 7)
     mono = Waveform(rng.uniform(-1.0, 1.0, length), 22050)
-    masks = AcousticMasks(mixture=rng.uniform(0.0, 2.0, N_BINS),
+    masks = AcousticMasks(mixture=rng.uniform(0.0, 1.0, N_BINS),
                           difference=rng.uniform(-1.0, 1.0, N_BINS))
-    gains = np.maximum(0.5 * np.stack([masks.mixture + masks.difference,
-                                       masks.mixture - masks.difference]), 0.0)
-    assert np.any(masks.mixture - np.abs(masks.difference) < 0)
+    raw = 0.5 * np.stack([masks.mixture + masks.difference, masks.mixture - masks.difference])
+    gains = np.maximum(raw, 0.0)
     bins = np.ascontiguousarray(stft(mono).bins)
     want = [istft(Spectrogram(bins=g[:, None] * bins, window=512, hop=128,
                               sample_rate=22050), length=length).samples.tobytes()
             for g in gains]
-    assert [c.samples.tobytes() for c in binauralize(mono, masks)] == want
+    clamped = sum(np.count_nonzero((g[:, None] < 0) & (bins != 0)) for g in raw)
+    assert clamped > 0.1 * 2 * bins.size
+    with caplog.at_level("WARNING", logger="gsaudio.binauralizer"):
+        assert [c.samples.tobytes() for c in binauralize(mono, masks)] == want
+    (record,) = [r for r in caplog.records if "clamped" in r.message]
+    assert record.args[0] == 100.0 * clamped / (2 * bins.size)
+
+
+@pytest.mark.parametrize("seconds", [10, 60])
+def test_binauralize_peak_memory_below_8_input_sizes(seconds):
+    # the mono spectrum, two output channels and per-block arrays: no
+    # clip-sized scaled spectrum or frame array
+    rng = np.random.default_rng(seconds)
+    mono = Waveform(rng.uniform(-1.0, 1.0, 22050 * seconds), 22050)
+    masks = AcousticMasks(mixture=rng.uniform(0.5, 1.5, N_BINS),
+                          difference=rng.uniform(-0.4, 0.4, N_BINS))
+    tracemalloc.start()
+    try:
+        binauralize(mono, masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * mono.samples.nbytes, peak / mono.samples.nbytes
 
 
 # --- differentiability ---

@@ -818,6 +818,13 @@ def _drop(key):
     return edit
 
 
+def _first_shape(shape):
+    def edit(header):
+        header["tensors"][0]["shape"] = shape
+        return header
+    return edit
+
+
 # each an edit of a model.bin header, and words the error message holds
 MALFORMED_HEADERS = {
     "a-list": (lambda header: [header], "not a weight checkpoint"),
@@ -825,6 +832,20 @@ MALFORMED_HEADERS = {
                    "no tensor list"),
     **{f"spec-without-{key}": (_drop(key), "lacks a name, shape or dtype")
        for key in ("name", "shape", "dtype")},
+    **{f"shape-{case}": (_first_shape(shape), "tensor positions has shape")
+       for case, shape in (("string", "ab"), ("negative", [-1, 3]), ("float", [2.0, 3]),
+                           ("bool", [True, 3]), ("number", 3))},
+    # a shape that parses but declares more bytes than the file holds
+    "shape-past-the-end": (_first_shape([10**6, 10**6]),
+                           "truncated weight buffer: tensor positions takes 8000000000000 bytes"),
+    "one-tensor": (lambda header: {**{k: v for k, v in header.items() if k != "train_state"},
+                                   "tensors": header["tensors"][:1]},
+                   "1 model tensors, fewer than the two point tensors"),
+    "train-state-a-list": (lambda header: {**header, "train_state": []},
+                           "train_state is [], not an object"),
+    "tensor-count-a-string": (
+        lambda header: {**header, "train_state": {**header["train_state"], "tensor_count": "9"}},
+        "train_state.tensor_count is '9'"),
 }
 
 
@@ -847,6 +868,58 @@ def test_render_from_a_malformed_model_header_exits_1(tiny_run, tmp_path, capsys
     assert err.startswith(f"error: {checkpoint / 'model.bin'}: ") and words in err, err
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+def _without_train_state_field(key):
+    def edit(header):
+        del header["train_state"][key]
+        return header
+    return edit
+
+
+def _train_state_field(key, value):
+    def edit(header):
+        header["train_state"][key] = value
+        return header
+    return edit
+
+
+# each an edit of a train state's header fields, and the error message's words
+MALFORMED_TRAIN_STATES = {
+    **{f"without-{key}": (_without_train_state_field(key), f"train state has no field {key}")
+       for key in ("iteration", "best_value", "rng_state", "config")},
+    "iteration-a-string": (_train_state_field("iteration", "60"),
+                           "train state field iteration is '60', not int"),
+    "iteration-a-bool": (_train_state_field("iteration", True),
+                         "train state field iteration is True, not int"),
+    "best-value-null": (_train_state_field("best_value", None),
+                        "train state field best_value is None, not int or float"),
+    "config-a-list": (_train_state_field("config", []),
+                      "train state field config is [], not dict"),
+    "rng-state-empty": (_train_state_field("rng_state", {}),
+                        "train state field rng_state is unusable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRAIN_STATES))
+def test_resume_from_a_malformed_train_state_exits_1(tiny_run, tiny_dataset, tmp_path, capsys,
+                                                     case):
+    from gsaudio import cli
+
+    edit, words = MALFORMED_TRAIN_STATES[case]
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(tiny_run / "final", checkpoint)
+    _edit_header(checkpoint, edit)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = cli.main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                     "--iterations", "60", "--eval-interval", "20", "--seed", "5",
+                     "--resume", str(checkpoint)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {checkpoint / 'model.bin'}: {words}"), err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_resume_without_a_train_state_tensor_exits_1(tiny_run, tiny_dataset, tmp_path, capsys):

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gsaudio.dsp import (Spectrogram, Waveform, env_distance, envelope, hann,
-                         istft, mag_distance, stft)
+from gsaudio.dsp import (FRAME_BLOCK, Spectrogram, Waveform, env_distance, envelope,
+                         hann, istft, mag_distance, stft)
 from gsaudio.errors import ConfigError, ContractViolation
 
 
@@ -79,7 +79,7 @@ def reference_istft(bins, window, hop, length):
     return body[:length]
 
 
-@pytest.mark.parametrize("window,hop", [(512, 128), (256, 128), (64, 16)])
+@pytest.mark.parametrize("window,hop", [(512, 128), (256, 128), (64, 16), (1024, 128)])
 @pytest.mark.parametrize("length", [1, 127, 128, 129, 22050])
 def test_transforms_bit_equal_to_gather_and_frame_loop(length, window, hop):
     rng = np.random.default_rng(length + window + hop)
@@ -94,6 +94,58 @@ def test_transforms_bit_equal_to_gather_and_frame_loop(length, window, hop):
         out = istft(masked, length=out_len).samples
         ref = reference_istft(masked.bins, window, hop, out_len)
         assert out.tobytes() == ref.tobytes()
+
+
+# --- frame blocks ---
+
+# clip lengths at hop 128 whose frame counts end exactly on a block boundary,
+# run one frame past one, and end inside a block; then a 10 s clip
+BLOCK_LENGTHS = [128 * (2 * FRAME_BLOCK - 1), 128 * (2 * FRAME_BLOCK - 1) + 1,
+                 128 * (2 * FRAME_BLOCK + FRAME_BLOCK // 2) - 50, 220500]
+
+
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+def test_block_transforms_bit_equal_to_whole_clip_references(length):
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal(length)
+    spec = stft(wave(x))
+    assert spec.bins.tobytes() == reference_stft_bins(x, 512, 128).tobytes()
+    out = istft(spec, length=length).samples
+    assert out.tobytes() == reference_istft(spec.bins, 512, 128, length).tobytes()
+
+
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+def test_istft_gain_bit_equal_to_scaling_the_spectrum(length):
+    rng = np.random.default_rng(length + 1)
+    spec = stft(wave(rng.uniform(-1.0, 1.0, length)))
+    for gain in (rng.uniform(0.0, 1.5, spec.n_bins), np.zeros(spec.n_bins)):
+        scaled = Spectrogram(bins=gain[:, None] * spec.bins, window=512, hop=128,
+                             sample_rate=22050)
+        for out_len in (length, length + 300):
+            assert (istft(spec, length=out_len, gain=gain).samples.tobytes()
+                    == istft(scaled, length=out_len).samples.tobytes())
+
+
+def test_istft_gain_must_have_one_value_per_bin():
+    spec = stft(wave(np.ones(1000)))
+    with pytest.raises(ContractViolation):
+        istft(spec, gain=np.ones(spec.n_bins - 1))
+
+
+@pytest.mark.parametrize("window", [512, 1024])
+def test_fft_rows_keep_their_bits_in_any_batch(window):
+    # the block transforms rest on this: rfft and irfft give a row the same
+    # bytes in a block of FRAME_BLOCK rows (or a last, shorter block) as in
+    # one call over every row
+    rng = np.random.default_rng(window)
+    n_rows = 5 * FRAME_BLOCK + 7
+    frames = rng.standard_normal((n_rows, window))
+    bins = np.fft.rfft(frames, axis=1)
+    back = np.fft.irfft(bins, n=window, axis=1)
+    for a in range(0, n_rows, FRAME_BLOCK):
+        rows = slice(a, a + FRAME_BLOCK)
+        assert np.fft.rfft(frames[rows], axis=1).tobytes() == bins[rows].tobytes()
+        assert np.fft.irfft(bins[rows], n=window, axis=1).tobytes() == back[rows].tobytes()
 
 
 # --- layout: frame-major bins, bin-major magnitudes ---
