@@ -41,9 +41,9 @@ class Tensor:
 
     ``version`` counts in-place writes to ``data``, like PyTorch's per-tensor
     ``_version``: a cache keyed on ``(data, version)`` sees a replaced array by
-    its identity and an in-place write by the count. ``Adam.step`` bumps it
-    after each update; any other in-place write to a parameter's ``data``
-    must bump it too.
+    its identity and an in-place write by the count. ``Adam.step`` and
+    ``RowAdam.step`` bump it after each update; any other in-place write to
+    a parameter's ``data`` must bump it too.
     """
 
     __slots__ = ("data", "param", "name", "tracked", "version")

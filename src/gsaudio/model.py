@@ -57,8 +57,9 @@ class SceneModel:
     are compared by identity (the key keeps them alive, so an id is never
     reused), everything else by value: replacing an array (``add_points``,
     ``keep_points``, loading, any ``p.data = ...``) or writing one in place
-    through ``Adam.step`` (which bumps ``version``) misses the key. An
-    in-place write to ``positions`` must replace the array instead.
+    through ``Adam.step`` or ``RowAdam.step`` (which bump ``version``)
+    misses the key. An in-place write to ``positions`` must replace the
+    array instead.
     """
 
     def __init__(self, points: AudioPointSet, field: FieldNetwork, masknet: MaskNetwork,

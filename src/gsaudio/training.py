@@ -24,17 +24,21 @@ instead of (F, T) grids.
 
 Each setting has one owner. The ``SceneModel`` owns the mode, the vicinity
 percentile and the STFT window and hop; ``TrainConfig`` holds the
-optimisation schedule, and the Adam moments keep ``Adam``'s defaults.
+optimisation schedule, including the two learning rates: ``Adam`` steps the
+networks and ``RowAdam`` the alpha rows, both with ``optim``'s fixed moment
+rates.
 
 A trainer checkpoint is one model.bin: the model, then the train state
-(``save_train_state``). A resume restores it, so the continuation repeats
-bit for bit, and refuses a schedule that differs in more than ``iterations``.
+(``save_train_state``), whose tensors ``_train_state_tensors`` names. A resume
+checks and restores it, so the continuation repeats bit for bit, and refuses
+a schedule that differs in more than ``iterations``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -50,7 +54,7 @@ from .errors import ConfigError, ContractViolation, DataError, EvaluationError, 
 from .irmetrics import rir_metrics
 from .kdtree import nearest_distances
 from .model import MODEL_NAME, TRAIN_STATE_KEY, SceneModel
-from .optim import Adam, reindex_rows
+from .optim import Adam, RowAdam, reindex_rows
 from .roomsim import ear_positions
 from .scene import Pose
 
@@ -255,7 +259,7 @@ class Trainer:
         self.rng = np.random.default_rng(config.seed)
         self.stats = GradStats(model.point_count)
         self.opt_nets = Adam(model.network_params(), lr=config.lr_nets)
-        self.opt_alpha = Adam([model.alphas], lr=config.lr_alpha)
+        self.opt_alpha = RowAdam(model.alphas, lr=config.lr_alpha)
         self.iteration = 0
         self.best_value = float(np.inf)
         self.loss_trace = []
@@ -468,19 +472,25 @@ class Trainer:
 # --- checkpoints ---
 
 
+def _train_state_tensors(trainer):
+    """The train state's tensors by name, each as (array, signed): the
+    trainer's own array, except ``net_t``, which holds the networks' step
+    counts, and whether it may hold negative values (first moments only)."""
+    stats, alpha, nets = trainer.stats, trainer.opt_alpha, trainer.opt_nets
+    table = {"grad_sum": (stats.grad_sum, False), "grad_counts": (stats.counts, False),
+             "alpha_m": (alpha.m, True), "alpha_v": (alpha.v, False),
+             "alpha_t": (alpha.t, False), "net_t": (np.array(nets.t, dtype=np.int64), False)}
+    for i, (m, v) in enumerate(zip(nets.m, nets.v)):
+        table[f"net_m_{i}"], table[f"net_v_{i}"] = (m, True), (v, False)
+    return table
+
+
 def save_train_state(directory, trainer):
     """Write ``directory``/model.bin: ``trainer``'s model, then its train state."""
-    [(alpha_m, alpha_v, alpha_t)] = trainer.opt_alpha.state_arrays()
-    net_states = trainer.opt_nets.state_arrays()
     state_fields = {"iteration": trainer.iteration, "best_value": trainer.best_value,
                     "rng_state": trainer.rng.bit_generator.state,
                     "config": asdict(trainer.config)}
-    tensors = [("grad_sum", trainer.stats.grad_sum), ("grad_counts", trainer.stats.counts),
-               ("alpha_m", alpha_m), ("alpha_v", alpha_v), ("alpha_t", alpha_t),
-               # a network parameter is always stepped whole: its rows share one count
-               ("net_t", np.array([t[0] for _, _, t in net_states], dtype=np.int64))]
-    for i, (m, v, _) in enumerate(net_states):
-        tensors += [(f"net_m_{i}", m), (f"net_v_{i}", v)]
+    tensors = [(name, array) for name, (array, _) in _train_state_tensors(trainer).items()]
     trainer.model.save(directory, train_state=(state_fields, tensors))
 
 
@@ -492,7 +502,8 @@ _TRAIN_STATE_FIELDS = {"iteration": (int,), "best_value": (int, float),
 def load_train_state(path, header, arrays, trainer):
     """Restore ``trainer`` from the train state in ``load_weights(path)``'s
     ``header`` and ``arrays``; its schedule must match the saved one in every
-    field but ``iterations``."""
+    field but ``iterations``, and each tensor must have the dtype and shape of
+    ``trainer``'s, finite values, and no negative value unless it is signed."""
     state = header.get(TRAIN_STATE_KEY)
     if state is None:
         raise DataError(f"{path}: checkpoint has no train state; cannot resume")
@@ -503,30 +514,36 @@ def load_train_state(path, header, arrays, trainer):
         if not isinstance(state[key], kind) or isinstance(state[key], bool):
             raise DataError(f"{path}: train state field {key} is {state[key]!r}, "
                             f"not {' or '.join(k.__name__ for k in kind)}")
+    if state["iteration"] < 0:
+        raise DataError(f"{path}: train state field iteration is {state['iteration']}, "
+                        "not >= 0")
+    if math.isnan(state["best_value"]):
+        raise DataError(f"{path}: train state field best_value is NaN")
     for key, value in asdict(trainer.config).items():
         saved = state["config"].get(key)
         if key != "iterations" and value != saved:
             raise ConfigError(f"{key} {value} differs from the checkpoint's {saved}")
-    data = dict(zip((spec["name"] for spec in header["tensors"]), arrays))
-
-    def tensor(name):
-        if name not in data:
-            raise DataError(f"{path}: train state has no tensor {name}")
-        return data[name]
-
     trainer.iteration = int(state["iteration"])
     trainer.best_value = float(state["best_value"])
     try:
         trainer.rng.bit_generator.state = state["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: train state field rng_state is unusable: {exc!r}") from exc
-    trainer.stats.grad_sum = tensor("grad_sum")
-    trainer.stats.counts = tensor("grad_counts")
-    trainer.opt_alpha.load_state_arrays([(tensor("alpha_m"), tensor("alpha_v"),
-                                          tensor("alpha_t"))])
-    trainer.opt_nets.load_state_arrays([
-        (tensor(f"net_m_{i}"), tensor(f"net_v_{i}"), np.full(len(tensor(f"net_m_{i}")), t))
-        for i, t in enumerate(tensor("net_t"))])
+    data = dict(zip((spec["name"] for spec in header["tensors"]), arrays))
+    table = _train_state_tensors(trainer)
+    for name, (want, signed) in table.items():
+        got = data.get(name)
+        if got is None:
+            raise DataError(f"{path}: train state has no tensor {name}")
+        if got.dtype != want.dtype or got.shape != want.shape:
+            raise DataError(f"{path}: train state tensor {name} is {got.dtype.str} "
+                            f"{list(got.shape)}, not {want.dtype.str} {list(want.shape)}")
+        if not np.isfinite(got).all():
+            raise DataError(f"{path}: train state tensor {name} is not finite")
+        if not signed and (got < 0).any():
+            raise DataError(f"{path}: train state tensor {name} holds a negative value")
+        want[...] = got
+    trainer.opt_nets.t = [int(t) for t in table["net_t"][0]]
 
 
 # --- evaluation helpers ---

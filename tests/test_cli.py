@@ -892,6 +892,10 @@ MALFORMED_TRAIN_STATES = {
                            "train state field iteration is '60', not int"),
     "iteration-a-bool": (_train_state_field("iteration", True),
                          "train state field iteration is True, not int"),
+    "iteration-negative": (_train_state_field("iteration", -5),
+                           "train state field iteration is -5, not >= 0"),
+    "best-value-nan": (_train_state_field("best_value", float("nan")),
+                       "train state field best_value is NaN"),
     "best-value-null": (_train_state_field("best_value", None),
                         "train state field best_value is None, not int or float"),
     "config-a-list": (_train_state_field("config", []),
@@ -942,5 +946,77 @@ def test_resume_without_a_train_state_tensor_exits_1(tiny_run, tiny_dataset, tmp
     assert code == 1
     assert err.startswith(f"error: {checkpoint / 'model.bin'}: train state has no tensor "
                           "grad_sum"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _respec(name, key, change):
+    """An edit of a checkpoint directory: in model.bin's spec of tensor
+    ``name``, ``key`` becomes ``change`` of its value; the bytes stay."""
+    def edit(header):
+        [spec] = [s for s in header["tensors"] if s["name"] == name]
+        spec[key] = change(spec[key])
+        return header
+    return lambda checkpoint: _edit_header(checkpoint, edit)
+
+
+def _set_first(name, value):
+    """An edit of a checkpoint directory: the first element of model.bin's
+    tensor ``name`` becomes ``value``; the header stays."""
+    def edit(checkpoint):
+        path = checkpoint / "model.bin"
+        data = bytearray(path.read_bytes())
+        offset = data.index(b"\n") + 1
+        for spec in json.loads(data[:offset])["tensors"]:
+            tensor = np.frombuffer(data, spec["dtype"], int(np.prod(spec["shape"])), offset)
+            if spec["name"] == name:
+                tensor[0] = value
+                break
+            offset += tensor.nbytes
+        path.write_bytes(data)
+    return edit
+
+
+# each an edit of a train state's tensors, and the error message's words
+MALFORMED_TRAIN_STATE_TENSORS = {
+    "grad-sum-3-rows-short": (_respec("grad_sum", "shape", lambda s: [s[0] - 3]),
+                              "train state tensor grad_sum is <f8 ["),
+    "grad-counts-3-rows-short": (_respec("grad_counts", "shape", lambda s: [s[0] - 3]),
+                                 "train state tensor grad_counts is <i8 ["),
+    "net-t-2-d": (_respec("net_t", "shape", lambda s: [1, s[0]]),
+                  "train state tensor net_t is <i8 [1, "),
+    "alpha-t-float64": (_respec("alpha_t", "dtype", lambda d: "<f8"),
+                        "train state tensor alpha_t is <f8 ["),
+    "net-t-negative": (_set_first("net_t", -1), "train state tensor net_t holds a negative"),
+    "grad-counts-negative": (_set_first("grad_counts", -1),
+                             "train state tensor grad_counts holds a negative"),
+    "alpha-t-negative": (_set_first("alpha_t", -4), "train state tensor alpha_t holds a negative"),
+    "alpha-v-negative": (_set_first("alpha_v", -1e-3),
+                         "train state tensor alpha_v holds a negative"),
+    "net-v-negative": (_set_first("net_v_0", -1e-3),
+                       "train state tensor net_v_0 holds a negative"),
+    "alpha-m-nan": (_set_first("alpha_m", np.nan), "train state tensor alpha_m is not finite"),
+    "net-v-nan": (_set_first("net_v_3", np.nan), "train state tensor net_v_3 is not finite"),
+    "grad-sum-inf": (_set_first("grad_sum", np.inf), "train state tensor grad_sum is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRAIN_STATE_TENSORS))
+def test_resume_from_a_malformed_train_state_tensor_exits_1(tiny_run, tiny_dataset, tmp_path,
+                                                            capsys, case):
+    from gsaudio import cli
+
+    edit, words = MALFORMED_TRAIN_STATE_TENSORS[case]
+    checkpoint = tmp_path / "ckpt"
+    shutil.copytree(tiny_run / "final", checkpoint)
+    edit(checkpoint)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    code = cli.main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                     "--iterations", "60", "--eval-interval", "20", "--seed", "5",
+                     "--resume", str(checkpoint)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {checkpoint / 'model.bin'}: {words}"), err
     assert "Traceback" not in err
     assert not out.exists()

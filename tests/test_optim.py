@@ -3,7 +3,7 @@ import pytest
 
 from gsaudio.autodiff import RowSparse, Tensor
 from gsaudio.errors import ContractViolation
-from gsaudio.optim import BETA1, BETA2, EPS, Adam
+from gsaudio.optim import BETA1, BETA2, EPS, Adam, RowAdam
 
 
 def make_param(value):
@@ -56,10 +56,10 @@ def test_step_counter_and_moments_track_shape():
     opt = Adam([p], lr=1e-3)
     for i in range(1, 4):
         opt.step({p: np.full((3, 4), 0.1)})
-        [(m, v, t)] = opt.state_arrays()
-        assert np.array_equal(t, [i, i, i])
-        assert m.shape == (3, 4)
-        assert v.shape == (3, 4)
+        [t] = opt.t
+        assert type(t) is int and t == i
+        assert opt.m[0].shape == (3, 4)
+        assert opt.v[0].shape == (3, 4)
 
 
 def test_untracked_gradients_ignored():
@@ -96,7 +96,7 @@ class RowCase:
         self.rng = rng
         init = rng.standard_normal((n, k))
         self.p = make_param(init.copy())
-        self.opt = Adam([self.p], lr=self.lr)
+        self.opt = RowAdam(self.p, lr=self.lr)
         self.rows = [fresh_row(init[i : i + 1]) for i in range(n)]
 
     def steps(self, count):
@@ -111,10 +111,9 @@ class RowCase:
             self.check()
 
     def check(self):
-        [(m, v, t)] = self.opt.state_arrays()
-        for key, got in (("data", self.p.data), ("m", m), ("v", v)):
+        for key, got in (("data", self.p.data), ("m", self.opt.m), ("v", self.opt.v)):
             assert np.array_equal(got, np.concatenate([r[key] for r in self.rows])), key
-        assert np.array_equal(t, [r["t"] for r in self.rows])
+        assert np.array_equal(self.opt.t, [r["t"] for r in self.rows])
 
 
 def test_row_steps_equal_per_tensor_steps_bit_for_bit():
@@ -142,8 +141,12 @@ def out_of_place_step(opt, p, m, v, t, g, rows):
 @pytest.mark.parametrize("row_steps", [False, True])
 def test_in_place_step_is_byte_equal_to_out_of_place_formula(row_steps):
     rng = np.random.default_rng(21)
-    params = [make_param(rng.standard_normal((9, 4))), make_param(rng.standard_normal(9))]
-    opt = Adam(params, lr=2e-3)
+    params = [make_param(rng.standard_normal((9, 4)))]
+    if row_steps:
+        opt = RowAdam(params[0], lr=2e-3)
+    else:
+        params.append(make_param(rng.standard_normal(9)))
+        opt = Adam(params, lr=2e-3)
     ref = [(p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape),
             np.zeros(9, dtype=np.int64)) for p in params]
     for _ in range(40):
@@ -153,9 +156,30 @@ def test_in_place_step_is_byte_equal_to_out_of_place_formula(row_steps):
         opt.step(grads if rows is None else {p: row_sparse(g, rows) for p, g in grads.items()})
         for p, state in zip(params, ref):
             out_of_place_step(opt, *state, grads[p], slice(None) if rows is None else rows)
-    for p, (data, m, v, t), (m_got, v_got, t_got) in zip(params, ref, opt.state_arrays()):
+    # a whole-parameter count stands for each of its rows' counts
+    states = ([(opt.m, opt.v, opt.t)] if row_steps else
+              [(m, v, np.full(9, t)) for m, v, t in zip(opt.m, opt.v, opt.t)])
+    for p, (data, m, v, t), (m_got, v_got, t_got) in zip(params, ref, states):
         for got, want in ((p.data, data), (m_got, m), (v_got, v), (t_got, t)):
             assert got.tobytes() == want.tobytes()
+
+
+def test_row_at_a_huge_step_count_steps_with_the_out_of_place_bytes():
+    # a count is no table index: a row at 10**12 steps at once, with 1 - beta ** t
+    rng = np.random.default_rng(23)
+    p = make_param(rng.standard_normal((5, 3)))
+    opt = RowAdam(p, lr=2e-3)
+    opt.t[:] = [10**12 - 1, 0, 7, 10**12 - 1, 2]
+    opt.m[:] = rng.standard_normal((5, 3))
+    opt.v[:] = rng.uniform(0.0, 1.0, (5, 3))
+    ref = (p.data.copy(), opt.m.copy(), opt.v.copy(), opt.t.copy())
+    g = rng.standard_normal((5, 3))
+    rows = np.array([0, 2, 3])
+    opt.step({p: row_sparse(g, rows)})
+    out_of_place_step(opt, *ref, g, rows)
+    assert opt.t[0] == 10**12
+    for got, want in zip((p.data, opt.m, opt.v, opt.t), ref):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_reindex_appends_and_drops_rows():
@@ -178,9 +202,9 @@ def test_reindex_appends_and_drops_rows():
 
 def test_rows_outside_the_step_are_untouched():
     p = make_param(np.ones((4, 2)))
-    opt = Adam([p], lr=0.1)
+    opt = RowAdam(p, lr=0.1)
     opt.step({p: row_sparse(np.ones((4, 2)), np.array([1, 3]))})
-    [(m, v, t)] = opt.state_arrays()
+    m, v, t = opt.m, opt.v, opt.t
     assert np.array_equal(t, [0, 1, 0, 1])
     assert np.array_equal(p.data[[0, 2]], np.ones((2, 2)))
     assert np.all(m[[0, 2]] == 0.0) and np.all(v[[0, 2]] == 0.0)
@@ -193,10 +217,11 @@ def test_state_round_trip_bit_identical():
     opt = Adam([p1, p2], lr=3e-3)
     for _ in range(5):
         opt.step({p1: rng.standard_normal(4), p2: rng.standard_normal((2, 2))})
-    snapshot = opt.state_arrays()
     q1, q2 = make_param(p1.data.copy()), make_param(p2.data.copy())
     clone = Adam([q1, q2], lr=3e-3)
-    clone.load_state_arrays(snapshot)
+    clone.m = [m.copy() for m in opt.m]
+    clone.v = [v.copy() for v in opt.v]
+    clone.t = list(opt.t)
     g1, g2 = rng.standard_normal(4), rng.standard_normal((2, 2))
     opt.step({p1: g1, p2: g2})
     clone.step({q1: g1, q2: g2})
@@ -211,11 +236,43 @@ def test_version_starts_at_zero():
 
 def test_step_bumps_version_once_per_written_parameter():
     p, q, idle = make_param(np.zeros((3, 2))), make_param([0.5]), make_param([2.0])
-    opt = Adam([p, q, idle], lr=0.1)
+    alphas = make_param(np.zeros((3, 2)))
+    opt, opt_rows = Adam([p, q, idle], lr=0.1), RowAdam(alphas, lr=0.1)
     for i in range(1, 4):
-        grads = {p: np.ones((3, 2)), q: np.ones(1)}
-        opt.step(grads if i < 3 else {t: row_sparse(g, np.array([0])) for t, g in grads.items()})
-        assert (p.version, q.version) == (i, i)
+        grads = {p: np.ones((3, 2)), q: np.ones(1),
+                 alphas: row_sparse(np.ones((3, 2)), np.array([0]))}
+        opt.step(grads)
+        opt_rows.step(grads)
+        assert (p.version, q.version, alphas.version) == (i, i, i)
     # a parameter without a gradient entry is not written and keeps its version
     assert idle.version == 0
     assert idle.data[0] == 2.0
+    opt_rows.step({p: np.ones((3, 2))})
+    assert alphas.version == 3
+
+
+def test_adam_refuses_a_row_sparse_gradient():
+    p = make_param(np.ones((4, 2)))
+    opt = Adam([p], lr=0.1)
+    with pytest.raises(ContractViolation, match="dense gradients only"):
+        opt.step({p: row_sparse(np.ones((4, 2)), np.array([1]))})
+    assert np.array_equal(p.data, np.ones((4, 2))) and opt.t == [0]
+
+
+@pytest.mark.parametrize("case", ["dense", "wrong-shape"])
+def test_row_adam_refuses_a_gradient_of_another_form_or_shape(case):
+    p = make_param(np.ones((4, 2)))
+    opt = RowAdam(p, lr=0.1)
+    g = (np.ones((4, 2)) if case == "dense" else
+         RowSparse(np.array([1]), np.ones((1, 3)), (4, 3)))
+    with pytest.raises(ContractViolation):
+        opt.step({p: g})
+    assert np.array_equal(p.data, np.ones((4, 2))) and not opt.t.any()
+
+
+@pytest.mark.parametrize("value", [np.ones(4), np.ones((2, 2, 2))])
+def test_row_adam_tracks_only_a_parameter_matrix(value):
+    with pytest.raises(ContractViolation, match="2-D"):
+        RowAdam(make_param(value), lr=0.1)
+    with pytest.raises(ContractViolation):
+        RowAdam(Tensor(np.ones((4, 2))), lr=0.1)  # not a parameter

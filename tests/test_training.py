@@ -377,9 +377,10 @@ def test_nearest_distances_match_per_point_loop(n):
 
 def pruned_state(trainer):
     """Every per-point array that a prune pass re-indexes."""
-    [(m, v, t)] = trainer.opt_alpha.state_arrays()
+    opt = trainer.opt_alpha
     return {"positions": trainer.model.positions.copy(),
-            "alphas": trainer.model.alphas.data.copy(), "m": m, "v": v, "t": t,
+            "alphas": trainer.model.alphas.data.copy(),
+            "m": opt.m.copy(), "v": opt.v.copy(), "t": opt.t.copy(),
             "grad_sum": trainer.stats.grad_sum.copy(), "counts": trainer.stats.counts.copy()}
 
 
@@ -457,7 +458,7 @@ def test_points_outside_vicinity_get_no_gradient(small_dataset):
     assert np.all(np.any(g[active] != 0.0, axis=1))
     before = model.alphas.data.copy()
     trainer.opt_alpha.step(grads)
-    [(m, v, t)] = trainer.opt_alpha.state_arrays()
+    m, v, t = trainer.opt_alpha.m, trainer.opt_alpha.v, trainer.opt_alpha.t
     assert np.array_equal(model.alphas.data[outside], before[outside])
     assert np.all(m[outside] == 0.0) and np.all(v[outside] == 0.0)
     assert np.all(t[outside] == 0) and np.all(t[active] == 1)
