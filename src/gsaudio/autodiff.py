@@ -199,7 +199,8 @@ def dense(tape, x, w, b, relu=False):
     place. One block gives ``x @ w`` then ``+= b``, and the backward uses
     the expressions of ``relu``, ``add`` and ``matmul``: the bits of that
     composition. A one-row block's gradients use the layer gradient's
-    column sum; untracked blocks get none.
+    column sum, taken once and also used as the bias gradient; untracked
+    blocks get none.
     """
     blocks = [_wrap(t) for t in ([x] if isinstance(x, (Tensor, np.ndarray)) else x)]
     w, b = _wrap(w), _wrap(b)
@@ -229,7 +230,7 @@ def dense(tape, x, w, b, relu=False):
         gks = [gs if single else g for single in one_row]
         return (*(gk @ wk.T if t.tracked else None for t, wk, gk in zip(blocks, ws, gks)),
                 np.concatenate([t.data.T @ gk for t, gk in zip(blocks, gks)]),
-                _unbroadcast(g, b.data.shape))
+                _unbroadcast(g, b.data.shape) if gs is None else gs.reshape(b.data.shape))
 
     return _record(tape, "dense", (*blocks, w, b), out, bwd)
 

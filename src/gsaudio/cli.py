@@ -293,7 +293,10 @@ def cmd_bench(cfg):
     mono = Waveform(rng.standard_normal(model.sample_rate) * 0.25, model.sample_rate)
     lo, hi = model.bounds
     pose = Pose.from_yaw((lo + hi) / 2.0 + np.array([0.3, 0.2, 0.0]), 0.7)
-    model.render(pose, mono)  # warm-up; also fills the model's cached source half
+    # warm-up: the first render fills the model's cached source half, the
+    # second its alpha projection, so the timed renders run in steady state
+    for _ in range(2):
+        model.render(pose, mono)
     latencies = []
     breakdown = {"context_s": 0.0, "masks_s": 0.0, "reconstruct_s": 0.0}
     for _ in range(n_renders):
@@ -317,8 +320,8 @@ def cmd_bench(cfg):
             "median": float(np.median(lat)),
             "p95": float(np.percentile(lat, 95)),
         },
-        # the source half of the context was cached by the warm-up, so
-        # context_s is the listener half plus the cache-key check
+        # the warm-up filled the cache, so context_s is the listener half,
+        # gathered from the alpha projection, plus the cache-key check
         "breakdown_mean_s": {k: v / n_renders for k, v in breakdown.items()},
         "latencies_s": [float(v) for v in lat],
     }

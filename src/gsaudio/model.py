@@ -60,6 +60,13 @@ class SceneModel:
     through ``Adam.step`` or ``RowAdam.step`` (which bump ``version``)
     misses the key. An in-place write to ``positions`` must replace the
     array instead.
+
+    Under the same key the cache also holds the alpha half of the field's
+    first layer for every point, ``field.project(alphas)``: (N, 64) float64,
+    512 bytes per point (16.8 MB at N = 32768). ``context`` builds it the
+    second time it sees an unchanged key, so a one-shot render never pays
+    for the N-row product; from then on the listener half gathers its rows
+    of it instead of multiplying its alpha rows, with the same bits.
     """
 
     def __init__(self, points: AudioPointSet, field: FieldNetwork, masknet: MaskNetwork,
@@ -83,6 +90,7 @@ class SceneModel:
         self.seed = seed
         self._source_key = ()
         self._source_half = None
+        self._projection = None
 
     # --- point bookkeeping ---
 
@@ -107,11 +115,16 @@ class SceneModel:
     # --- forward paths ---
 
     def context(self, tape, listener) -> SceneContext:
-        source_half = None if tape is not None else self._cached_source_half()
-        return pooled_context(tape, self.field, self.positions, self.alphas, listener,
-                              self.source, self.percentile, source_half=source_half)
+        if tape is not None:
+            return pooled_context(tape, self.field, self.positions, self.alphas, listener,
+                                  self.source, self.percentile)
+        source_half, projection = self._tape_free_cache()
+        return pooled_context(None, self.field, self.positions, self.alphas, listener,
+                              self.source, self.percentile, source_half, projection)
 
-    def _cached_source_half(self):
+    def _tape_free_cache(self):
+        """The cached source half and alpha projection (None until the key's
+        second use), rebuilt when the key misses."""
         key = [self.positions, tuple(self.source), self.percentile]
         for t in [self.alphas] + self.field.params():
             key += [t.data, t.version]
@@ -122,7 +135,10 @@ class SceneModel:
                                                self.source, self.percentile)
             indices.flags.writeable = False
             self._source_key, self._source_half = key, (c_source, indices)
-        return self._source_half
+            self._projection = None
+        elif self._projection is None:
+            self._projection = self.field.project(self.alphas.data)
+        return self._source_half, self._projection
 
     def mask_tensors(self, tape, pose: Pose, context=None):
         """(mixture, difference, context) for ``pose``; the context is

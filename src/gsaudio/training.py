@@ -472,6 +472,10 @@ class Trainer:
 # --- checkpoints ---
 
 
+# the train state's int64 step counts: each grows by at most one a step
+_STEP_COUNTS = ("grad_counts", "alpha_t", "net_t")
+
+
 def _train_state_tensors(trainer):
     """The train state's tensors by name, each as (array, signed): the
     trainer's own array, except ``net_t``, which holds the networks' step
@@ -503,7 +507,9 @@ def load_train_state(path, header, arrays, trainer):
     """Restore ``trainer`` from the train state in ``load_weights(path)``'s
     ``header`` and ``arrays``; its schedule must match the saved one in every
     field but ``iterations``, and each tensor must have the dtype and shape of
-    ``trainer``'s, finite values, and no negative value unless it is signed."""
+    ``trainer``'s, finite values, no negative value unless it is signed, and,
+    for a step count, no value that ``iterations`` more steps would carry past
+    the int64 range."""
     state = header.get(TRAIN_STATE_KEY)
     if state is None:
         raise DataError(f"{path}: checkpoint has no train state; cannot resume")
@@ -531,6 +537,7 @@ def load_train_state(path, header, arrays, trainer):
         raise DataError(f"{path}: train state field rng_state is unusable: {exc!r}") from exc
     data = dict(zip((spec["name"] for spec in header["tensors"]), arrays))
     table = _train_state_tensors(trainer)
+    count_limit = np.iinfo(np.int64).max - trainer.config.iterations
     for name, (want, signed) in table.items():
         got = data.get(name)
         if got is None:
@@ -542,6 +549,10 @@ def load_train_state(path, header, arrays, trainer):
             raise DataError(f"{path}: train state tensor {name} is not finite")
         if not signed and (got < 0).any():
             raise DataError(f"{path}: train state tensor {name} holds a negative value")
+        if name in _STEP_COUNTS and (got > count_limit).any():
+            raise DataError(f"{path}: train state tensor {name} holds a count above "
+                            f"{count_limit}, which {trainer.config.iterations} steps could carry "
+                            "past the int64 range")
         want[...] = got
     trainer.opt_nets.t = [int(t) for t in table["net_t"][0]]
 

@@ -347,6 +347,23 @@ def test_block_dense_matches_tiled_input():
     assert np.allclose(grads[params["b"]], g.sum(axis=0))
 
 
+@pytest.mark.parametrize("one_row", [True, False], ids=["one-row-blocks", "rows-only"])
+def test_dense_bias_gradient_has_the_bytes_of_the_column_sum(one_row):
+    inputs = block_inputs(26)
+    if one_row:
+        blocks = [Tensor(inputs[k], param=True) for k in ("row", "rows", "last")]
+    else:
+        blocks = Tensor(np.random.default_rng(26).standard_normal((7, 7)), param=True)
+    w, b = Tensor(inputs["w"], param=True), Tensor(inputs["b"], param=True)
+    upstream = np.random.default_rng(27).standard_normal((7, 6))
+    tape = Tape()
+    out = ad.dense(tape, blocks, w, b, relu=True)
+    grads = tape.backward(ad.total(tape, ad.mul(tape, out, Tensor(upstream))))
+    want = (upstream * (out.data > 0.0)).sum(axis=0)
+    assert grads[b].shape == (6,)
+    assert grads[b].tobytes() == want.tobytes()
+
+
 def test_block_dense_one_row_output_and_constant_blocks():
     rng = np.random.default_rng(24)
     a = Tensor(rng.standard_normal((1, 3)), param=True)

@@ -290,20 +290,50 @@ def test_bench_report(tiny_run, tmp_path):
 
 def test_bench_computes_context_once_per_render(tiny_run, monkeypatch, capsys):
     from gsaudio.cli import main
+    from gsaudio.field import FieldNetwork
     from gsaudio.model import SceneModel
 
     calls = []
-    context = SceneModel.context
+    builds = []
+    context, project = SceneModel.context, FieldNetwork.project
 
     def counted(self, tape, listener):
         calls.append(listener)
         return context(self, tape, listener)
 
+    def counted_project(self, alphas):
+        builds.append(len(calls))
+        return project(self, alphas)
+
     monkeypatch.setattr(SceneModel, "context", counted)
+    monkeypatch.setattr(FieldNetwork, "project", counted_project)
     assert main(["bench", "--checkpoint", str(tiny_run / "final"), "--n", "10"]) == 0
     capsys.readouterr()
-    # one warm-up render, then one context per timed render
-    assert len(calls) == 11
+    # two warm-up renders, then one context per timed render; the second
+    # warm-up render builds the alpha projection, so no timed render does
+    assert len(calls) == 12
+    assert builds == [2]
+
+
+def test_one_shot_render_builds_no_alpha_projection(tiny_run, tmp_path, monkeypatch):
+    from gsaudio import cli
+    from gsaudio.field import FieldNetwork
+
+    builds = []
+    project = FieldNetwork.project
+
+    def counted_project(self, alphas):
+        builds.append(alphas.shape)
+        return project(self, alphas)
+
+    monkeypatch.setattr(FieldNetwork, "project", counted_project)
+    mono_path = tmp_path / "probe.wav"
+    write_wav(mono_path, np.random.default_rng(4).standard_normal(4096) * 0.2, 22050)
+    out_path = tmp_path / "out.wav"
+    assert cli.main(["render", "--checkpoint", str(tiny_run / "final"), "--pose",
+                     "3.0,2.0,1.5,0.5", "--mono", str(mono_path), "--out", str(out_path)]) == 0
+    assert out_path.exists()
+    assert builds == []
 
 
 def test_bench_minimum_renders(tiny_run):
@@ -998,6 +1028,13 @@ MALFORMED_TRAIN_STATE_TENSORS = {
     "alpha-m-nan": (_set_first("alpha_m", np.nan), "train state tensor alpha_m is not finite"),
     "net-v-nan": (_set_first("net_v_3", np.nan), "train state tensor net_v_3 is not finite"),
     "grad-sum-inf": (_set_first("grad_sum", np.inf), "train state tensor grad_sum is not finite"),
+    # the resume below runs to iteration 60: a count above int64 max - 60 could wrap
+    "alpha-t-int64-max": (_set_first("alpha_t", np.iinfo(np.int64).max),
+                          "train state tensor alpha_t holds a count above "),
+    "net-t-one-past-the-limit": (_set_first("net_t", np.iinfo(np.int64).max - 59),
+                                 "train state tensor net_t holds a count above "),
+    "grad-counts-int64-max": (_set_first("grad_counts", np.iinfo(np.int64).max),
+                              "train state tensor grad_counts holds a count above "),
 }
 
 

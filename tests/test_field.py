@@ -19,7 +19,12 @@ def guidance(point, anchor):
 
 def forward_one(net, alpha, g):
     """Context of one point: the field forward on a single (alpha, guidance) row."""
-    return net.forward(None, Tensor(np.concatenate([alpha, g])[None, :])).data[0]
+    return net.forward(None, Tensor(alpha[None, :]), Tensor(g[None, :])).data[0]
+
+
+def split_blocks(net, x):
+    """The (alpha, guidance) column blocks of the joined rows ``x``."""
+    return Tensor(x.data[:, :net.alpha_dim]), Tensor(x.data[:, net.alpha_dim:])
 
 
 def alpha_rows(alphas):
@@ -120,10 +125,10 @@ def test_forward_applies_the_second_layer_to_one_pooled_row():
     net = FieldNetwork(alpha_dim=52, rng=np.random.default_rng(12))
     x = Tensor(np.random.default_rng(12).standard_normal((40, 55)))
     tape = Tape()
-    out = net.forward(tape, x)
+    out = net.forward(tape, *split_blocks(net, x))
     assert [e.op for e in tape.entries] == ["dense", "mean", "dense"]
     first, _, second = tape.entries
-    assert first.inputs[0].shape == (40, 55)
+    assert [t.shape for t in first.inputs[:2]] == [(40, 52), (40, 3)]
     assert second.inputs[0].shape == (1, 64)
     assert out.shape == (1, 64)
 
@@ -141,7 +146,7 @@ def test_pooled_forward_gradients_match_finite_differences(name):
     def f(tape, p):
         setattr(net, name, p)
         try:
-            out = net.forward(tape, x)
+            out = net.forward(tape, *split_blocks(net, x))
         finally:
             setattr(net, name, original)
         return ad.total(tape, ad.mul(tape, out, weights))

@@ -3,8 +3,12 @@
 The reference builds each layer as ``ad.matmul``, ``ad.add`` and ``ad.relu``
 and feeds the mask networks a tiled input: the per-request rows repeated
 over every output row (a zero block plus the row) and concatenated with the
-varying block. The field network's single-block layers keep the reference's
-bits, so the context and a context-only loss's gradients do too. The mask
+varying block. The field network's first layer takes two column blocks
+(alpha rows, guidance rows); the reference zero-pads each block to the full
+input width with ``ad.concat``, multiplies each by the whole ``w1`` and adds
+the two products, then the bias. The field network's layers keep the
+reference's bits, so the context and a context-only loss's gradients do
+too. The mask
 networks multiply the per-request row once and add it to every row, which
 sums layer 1 in another order: masks and amplitudes match to
 ``OUTPUT_ATOL``, and every gradient that flows back through them (the field
@@ -29,8 +33,17 @@ OUTPUT_ATOL = 1e-15
 GRAD_RTOL = 1e-13
 
 
-def unfused_forward(self, tape, x):
-    h = ad.relu(tape, ad.add(tape, ad.matmul(tape, x, self.w1), self.b1))
+def zero_padded(tape, block, left, right):
+    """``block`` with ``left`` zero columns before it and ``right`` after."""
+    n = block.shape[0]
+    return ad.concat(tape, [Tensor(np.zeros((n, left))), block, Tensor(np.zeros((n, right)))])
+
+
+def unfused_forward(self, tape, alpha_rows, guidance):
+    k, g = alpha_rows.shape[1], guidance.shape[1]
+    products = [ad.matmul(tape, zero_padded(tape, alpha_rows, 0, g), self.w1),
+                ad.matmul(tape, zero_padded(tape, guidance, k, 0), self.w1)]
+    h = ad.relu(tape, ad.add(tape, ad.add(tape, *products), self.b1))
     pooled = ad.mean(tape, h, axis=0, keepdims=True)
     return ad.add(tape, ad.matmul(tape, pooled, self.w2), self.b2)
 
@@ -184,9 +197,10 @@ def test_factorized_layers_match_tiled_unfused_composition(mode, step, monkeypat
     for (fused, fused_ops), (plain, plain_ops) in fused_and_reference(model, step, monkeypatch):
         assert "dense" in fused_ops and "dense" not in plain_ops
         assert "broadcast_rows" not in fused_ops
-        # the only concats left are the context's: one per field input, one
-        # joining the source and listener halves
-        assert fused_ops.count("concat") == 3
+        # the only concat left joins the source and listener halves; the
+        # reference also pads the alpha block per anchor (the guidance pad
+        # has no tracked input, so no entry) and joins two mask inputs
+        assert fused_ops.count("concat") == 1
         assert plain_ops.count("concat") == 5
         assert fused.keys() == plain.keys()
         for name, value in fused.items():

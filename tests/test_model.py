@@ -198,17 +198,27 @@ def assert_context_uncached(model, pose):
     return got
 
 
-@pytest.mark.parametrize("n_points", [512, 4096])
+def vicinity_rows(model):
+    return int(np.ceil(model.percentile / 100.0 * model.point_count))
+
+
+@pytest.mark.parametrize("n_points", [6, 8, 512, 4096, 32768])
 def test_cached_context_and_render_bit_equal_to_uncached(n_points):
+    # vicinities of 1, 2, 77, 615 and 4916 rows; from the second context on,
+    # every tape-free one holds the cached alpha projection, and all but the
+    # one-row vicinity read it
     model = make_model(seed=12, n_points=n_points)
     mono = Waveform(np.random.default_rng(13).standard_normal(4000) * 0.3, 22050)
     for pose in poses(12):
-        assert_context_uncached(model, pose)
+        got = assert_context_uncached(model, pose)
+        assert got.listener_indices.size == vicinity_rows(model) == got.source_indices.size
+        assert same_bits(model.context(Tape(), pose).tensor.data, got.tensor.data)
         left, right = model.render(pose, mono)
         masks = model.masks(pose, context=uncached_context(model, pose))
         want_left, want_right = binauralize(mono, masks, model.window, model.hop)
         assert same_bits(left.samples, want_left.samples)
         assert same_bits(right.samples, want_right.samples)
+    assert model._projection is not None
 
 
 def test_second_context_runs_one_vicinity_and_one_field_pass(monkeypatch):
@@ -220,9 +230,9 @@ def test_second_context_runs_one_vicinity_and_one_field_pass(monkeypatch):
         calls["vicinity"] += 1
         return vicinity(*args)
 
-    def counting_forward(*args):
+    def counting_forward(*args, **kwargs):
         calls["forward"] += 1
-        return forward(*args)
+        return forward(*args, **kwargs)
 
     monkeypatch.setattr(field_module, "vicinity", counting_vicinity)
     monkeypatch.setattr(FieldNetwork, "forward", counting_forward)
@@ -257,42 +267,91 @@ def make_trainer(dataset, seed=16):
     return Trainer(build_model(dataset, cfg), dataset, tcfg)
 
 
+def warm_context(model, pose):
+    """Two checked tape-free contexts of ``pose``, the second read through
+    the alpha projection built for the model as it stands; returns the
+    context and that projection."""
+    assert_context_uncached(model, pose)
+    ctx = assert_context_uncached(model, pose)
+    projection = model._projection
+    assert projection is not None
+    assert same_bits(projection, model.field.project(model.alphas.data))
+    return ctx, projection
+
+
+def assert_both_halves_changed(before, after):
+    for half in (slice(0, 64), slice(64, 128)):
+        assert not same_bits(after.tensor.data[:, half], before.tensor.data[:, half])
+
+
 def test_train_step_invalidates_the_cached_source_half(small_dataset):
     trainer = make_trainer(small_dataset)
     pose = poses(1)[0]
-    before = assert_context_uncached(trainer.model, pose)
+    before, old = warm_context(trainer.model, pose)
     trainer.train_step(trainer._train_cache[0])  # Adam writes alphas and weights in place
-    after = assert_context_uncached(trainer.model, pose)
-    assert not same_bits(after.tensor.data[:, :64], before.tensor.data[:, :64])
+    after, new = warm_context(trainer.model, pose)
+    assert new is not old
+    assert_both_halves_changed(before, after)
 
 
 def test_densify_invalidates_the_cached_source_half(small_dataset):
     trainer = make_trainer(small_dataset)
     pose = poses(1)[0]
-    before = assert_context_uncached(trainer.model, pose)
+    before, old = warm_context(trainer.model, pose)
     trainer.stats.counts[:] = 1
     trainer.stats.grad_sum[before.source_indices] = 1.0
     assert trainer.densify() == before.source_indices.size
-    after = assert_context_uncached(trainer.model, pose)
+    after, new = warm_context(trainer.model, pose)
+    assert new is not old and new.shape[0] == old.shape[0] + before.source_indices.size
     assert not np.array_equal(after.source_indices, before.source_indices)
+    assert not np.array_equal(after.listener_indices, before.listener_indices)
+    assert not same_bits(after.tensor.data[:, 64:], before.tensor.data[:, 64:])
 
 
 def test_keep_points_invalidates_the_cached_source_half():
     model = make_model(seed=17, n_points=300)
     pose = poses(1)[0]
-    before = assert_context_uncached(model, pose)
+    before, old = warm_context(model, pose)
     model.keep_points(np.setdiff1d(np.arange(300), before.source_indices[::2]))
-    after = assert_context_uncached(model, pose)
-    assert not same_bits(after.tensor.data[:, :64], before.tensor.data[:, :64])
+    after, new = warm_context(model, pose)
+    assert new is not old and new.shape[0] == model.point_count < old.shape[0]
+    assert_both_halves_changed(before, after)
 
 
 def test_reassigned_field_weight_invalidates_the_cached_source_half():
     model = make_model(seed=18, n_points=300)
     pose = poses(1)[0]
-    before = assert_context_uncached(model, pose)
+    before, old = warm_context(model, pose)
     model.field.w1.data = model.field.w1.data * 1.5
-    after = assert_context_uncached(model, pose)
-    assert not same_bits(after.tensor.data[:, :64], before.tensor.data[:, :64])
+    after, new = warm_context(model, pose)
+    assert new is not old
+    assert_both_halves_changed(before, after)
+
+
+def test_projection_is_built_on_the_second_use_of_an_unchanged_model(small_dataset, monkeypatch):
+    builds = []
+    project = FieldNetwork.project
+
+    def counting_project(self, alphas):
+        builds.append(alphas.shape[0])
+        return project(self, alphas)
+
+    monkeypatch.setattr(FieldNetwork, "project", counting_project)
+    trainer = make_trainer(small_dataset)
+    model = trainer.model
+    first, second = poses(2)
+    mono = Waveform(np.random.default_rng(21).standard_normal(4000) * 0.3, 22050)
+    model.render(first, mono)
+    assert builds == []  # a one-shot render pays for no N-row product
+    model.render(second, mono)
+    model.render(first, mono)
+    assert builds == [model.point_count]
+    trainer.train_step(trainer._train_cache[0])
+    model.render(first, mono)
+    assert len(builds) == 1
+    model.render(second, mono)
+    model.render(first, mono)
+    assert builds == [model.point_count] * 2
 
 
 def test_tape_context_after_a_cached_render_reaches_the_source_rows():
